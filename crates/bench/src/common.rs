@@ -71,11 +71,6 @@ pub fn pct(x: f64) -> String {
     format!("{:+.1}%", x * 100.0)
 }
 
-/// Pads/truncates into a fixed-width cell.
-pub fn cell(s: &str, width: usize) -> String {
-    format!("{s:<width$}")
-}
-
 /// Order-of-magnitude label (`O(100K)` style) used by Table 2.
 pub fn order_of(x: f64) -> String {
     if x <= 0.0 {

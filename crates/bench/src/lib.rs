@@ -3,9 +3,9 @@
 //! Every table and figure from the paper's evaluation has a function here
 //! that regenerates it against the simulator and prints the measured series
 //! next to the paper's reference values. The `repro` binary dispatches on
-//! experiment ids (`table1`, `fig1` … `fig19`, `all`); the Criterion benches
-//! in `benches/` exercise the same entry points plus the simulator's hot
-//! components.
+//! experiment ids (`table1`, `fig1` … `fig19`, `all`). Performance is
+//! measured separately, by the standalone `perfbench/` package at the
+//! repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,7 +13,6 @@
 pub mod ablation;
 pub mod characterization;
 pub mod common;
-pub mod json;
 pub mod knobsweeps;
 
 /// Every experiment id in paper order.

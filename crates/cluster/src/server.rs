@@ -192,7 +192,9 @@ impl SimServer {
     ///
     /// # Errors
     ///
-    /// Engine errors on first evaluation of a configuration.
+    /// Engine errors on first evaluation of a configuration;
+    /// [`ClusterError::Workload`] if `load` is NaN (the queue simulation
+    /// rejects the resulting utilization).
     pub fn latency_tail(&mut self, load: f64) -> Result<TailLatency, ClusterError> {
         let mips = self.mips(load)?;
         let speed = (mips / self.production_mips).max(1e-3);
@@ -211,7 +213,7 @@ impl SimServer {
             },
             20_000,
             stream_seed(self.seed, StreamFamily::ServerQueue),
-        );
+        )?;
         // Blocked time (downstream I/O) adds on top of the local sojourn.
         Ok(TailLatency {
             mean: tail.mean + blocked_s,
@@ -228,7 +230,7 @@ impl SimServer {
     ///
     /// # Errors
     ///
-    /// Engine errors on first evaluation of a configuration.
+    /// As [`SimServer::latency_tail`].
     pub fn qos_tail_ok(&mut self, load: f64) -> Result<bool, ClusterError> {
         let tail = self.latency_tail(load)?;
         Ok(tail.p99 <= self.profile.request.qos_latency_s() * 3.0)
@@ -383,7 +385,7 @@ fn config_key(c: &ServerConfig, push_scale: f64) -> u64 {
 mod tests {
     use super::*;
     use softsku_archsim::platform::PlatformKind;
-    use softsku_workloads::Microservice;
+    use softsku_workloads::{Microservice, WorkloadError};
 
     const TEST_WINDOW: u64 = 60_000;
 
@@ -502,6 +504,18 @@ mod tests {
         } else {
             assert!(!s.qos_tail_ok(1.0).unwrap());
         }
+    }
+
+    #[test]
+    fn nan_load_is_a_typed_error_not_a_panic() {
+        let mut s = web_server();
+        assert!(matches!(
+            s.latency_tail(f64::NAN),
+            Err(ClusterError::Workload(WorkloadError::InvalidQueue { .. }))
+        ));
+        assert!(s.qos_tail_ok(f64::NAN).is_err());
+        // The server stays usable after the rejected query.
+        assert!(s.latency_tail(1.0).is_ok());
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //! stack for the one direction we need (emit only, never parse), this is a
 //! small value tree with a deterministic renderer: object keys keep
 //! insertion order, so two identical runs produce byte-identical files —
-//! which is what both BENCH_*.json trajectory diffing and the bit-identical
-//! Chrome trace-event export ([`crate::trace`]) need. It started life in
-//! the bench crate and moved here so the trace exporter can use it without
-//! a dependency cycle (bench depends on telemetry).
+//! which is what the bit-identical Chrome trace-event export
+//! ([`crate::trace`]) needs.
 
 use std::fmt::Write as _;
 

@@ -506,6 +506,24 @@ mod tests {
     }
 
     #[test]
+    fn every_evaluation_ledgers_exactly_one_fast_burn_point() {
+        let mut slo = SloEvaluator::new(spec());
+        let mut ledger = TieredOds::unbounded();
+        let mut sink = TraceSink::new();
+        let fast = SeriesKey::new("web", LedgerKey::SloBurnFast.name());
+        for i in 0..500u64 {
+            let t = i as f64 * 0.1;
+            // Healthy traffic with periodic bad bursts, so evaluations
+            // both alert and stay quiet.
+            let lat = if (i / 50) % 2 == 1 { 0.5 } else { 0.01 };
+            slo.observe(t, lat, Some(i)).unwrap();
+            slo.evaluate(t, &mut ledger, &mut sink).unwrap();
+            assert_eq!(ledger.len(&fast), i as usize + 1);
+        }
+        assert!(slo.alerts() > 0, "the bursts must page at least once");
+    }
+
+    #[test]
     fn evaluator_is_deterministic() {
         let run = || {
             let mut slo = SloEvaluator::new(spec());

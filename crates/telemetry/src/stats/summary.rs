@@ -257,7 +257,7 @@ impl Summary {
     }
 
     /// Half-width of the confidence interval relative to the mean
-    /// (`t * sem / |mean|`), µSKU's convergence criterion.
+    /// (`t * sem / |mean|`), µSKU's convergence test.
     ///
     /// Returns `f64::INFINITY` when the mean is zero or n < 2.
     pub fn relative_ci_half_width(&self, confidence: f64) -> Result<f64, TelemetryError> {

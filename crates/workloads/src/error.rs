@@ -24,6 +24,13 @@ pub enum WorkloadError {
     },
     /// An unknown service name was parsed.
     UnknownService(String),
+    /// A queueing simulation was asked for an impossible queue (no
+    /// servers, too few jobs, utilization outside `(0, 1)`, or an invalid
+    /// service-time distribution).
+    InvalidQueue {
+        /// What was out of range.
+        detail: String,
+    },
 }
 
 impl fmt::Display for WorkloadError {
@@ -36,6 +43,7 @@ impl fmt::Display for WorkloadError {
                 write!(f, "calibration failure for {service}: {detail}")
             }
             WorkloadError::UnknownService(name) => write!(f, "unknown service {name:?}"),
+            WorkloadError::InvalidQueue { detail } => write!(f, "invalid queue: {detail}"),
         }
     }
 }
@@ -58,6 +66,9 @@ mod tests {
                 detail: "bad anchor".into(),
             },
             WorkloadError::UnknownService("webz".into()),
+            WorkloadError::InvalidQueue {
+                detail: "no servers".into(),
+            },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -11,6 +11,7 @@
 //! each job takes a sampled service time, and the earliest-available server
 //! runs it. A binary heap of server-free times makes it O(n log c).
 
+use crate::WorkloadError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -91,25 +92,43 @@ fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 ///
 /// The first 10 % of jobs are discarded as queue warm-up.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `servers == 0`, `jobs < 100`, or `rho` is outside `(0, 1)`.
+/// [`WorkloadError::InvalidQueue`] if `servers == 0`, `jobs < 100`, `rho`
+/// is not a finite value in `(0, 1)`, the service mean is not finite and
+/// positive, or a log-normal `cv2` is not finite and non-negative.
 pub fn simulate_queue(
     servers: u32,
     rho: f64,
     service: ServiceDist,
     jobs: usize,
     seed: u64,
-) -> TailLatency {
-    assert!(servers > 0, "need at least one server");
-    assert!(jobs >= 100, "need at least 100 jobs, got {jobs}");
-    assert!(
-        rho > 0.0 && rho < 1.0,
-        "utilization must be in (0, 1), got {rho}"
-    );
+) -> Result<TailLatency, WorkloadError> {
+    let invalid = |detail: String| Err(WorkloadError::InvalidQueue { detail });
+    if servers == 0 {
+        return invalid("need at least one server".into());
+    }
+    if jobs < 100 {
+        return invalid(format!("need at least 100 jobs, got {jobs}"));
+    }
+    // Written so NaN fails the range check.
+    if !(rho > 0.0 && rho < 1.0) {
+        return invalid(format!("utilization must be in (0, 1), got {rho}"));
+    }
+    let mean = service.mean();
+    if !(mean.is_finite() && mean > 0.0) {
+        return invalid(format!(
+            "service mean must be finite and positive, got {mean}"
+        ));
+    }
+    if let ServiceDist::LogNormal { cv2, .. } = service {
+        if !(cv2.is_finite() && cv2 >= 0.0) {
+            return invalid(format!("cv2 must be finite and non-negative, got {cv2}"));
+        }
+    }
 
     let mut rng = SmallRng::seed_from_u64(seed);
-    let arrival_rate = rho * servers as f64 / service.mean();
+    let arrival_rate = rho * servers as f64 / mean;
 
     // Min-heap of server-free timestamps (f64 ordered via bits; all values
     // are nonnegative finite, so the ordering is correct).
@@ -132,15 +151,15 @@ pub fn simulate_queue(
             sojourns.push(finish - t);
         }
     }
-    sojourns.sort_by(|a, b| a.partial_cmp(b).expect("finite sojourns"));
+    sojourns.sort_by(f64::total_cmp);
     let n = sojourns.len();
     let pick = |q: f64| sojourns[((n - 1) as f64 * q).round() as usize];
-    TailLatency {
+    Ok(TailLatency {
         mean: sojourns.iter().sum::<f64>() / n as f64,
         p50: pick(0.50),
         p95: pick(0.95),
         p99: pick(0.99),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -154,7 +173,7 @@ mod tests {
         // Erlang C; the event simulation must agree within sampling noise.
         for &(servers, rho) in &[(1u32, 0.5f64), (4, 0.7), (16, 0.8)] {
             let service = ServiceDist::Exponential { mean: 1.0 };
-            let sim = simulate_queue(servers, rho, service, 200_000, 7);
+            let sim = simulate_queue(servers, rho, service, 200_000, 7).unwrap();
             let analytic = 1.0 + mmc_wait_factor(rho, servers);
             let rel = (sim.mean - analytic).abs() / analytic;
             assert!(
@@ -172,8 +191,8 @@ mod tests {
         // conditional wait (rate c·μ·(1−ρ)) dominates the tail; at ρ = 0.95
         // the true spread ratio sits almost exactly on the 2× threshold and
         // the assertion flips on sampling noise.
-        let low = simulate_queue(8, 0.5, service, 150_000, 3);
-        let high = simulate_queue(8, 0.97, service, 150_000, 3);
+        let low = simulate_queue(8, 0.5, service, 150_000, 3).unwrap();
+        let high = simulate_queue(8, 0.97, service, 150_000, 3).unwrap();
         for t in [&low, &high] {
             assert!(t.p50 <= t.p95 && t.p95 <= t.p99);
             assert!(t.mean >= 0.9, "sojourn includes service time: {}", t.mean);
@@ -196,8 +215,10 @@ mod tests {
 
     #[test]
     fn deterministic_service_has_tighter_tail_than_exponential() {
-        let exp = simulate_queue(4, 0.7, ServiceDist::Exponential { mean: 1.0 }, 100_000, 5);
-        let det = simulate_queue(4, 0.7, ServiceDist::Deterministic { time: 1.0 }, 100_000, 5);
+        let exp =
+            simulate_queue(4, 0.7, ServiceDist::Exponential { mean: 1.0 }, 100_000, 5).unwrap();
+        let det =
+            simulate_queue(4, 0.7, ServiceDist::Deterministic { time: 1.0 }, 100_000, 5).unwrap();
         assert!(
             det.p99 < exp.p99,
             "M/D/c p99 {:.2} must undercut M/M/c p99 {:.2}",
@@ -208,7 +229,8 @@ mod tests {
 
     #[test]
     fn heavy_tailed_service_has_fatter_tail() {
-        let exp = simulate_queue(4, 0.6, ServiceDist::Exponential { mean: 1.0 }, 100_000, 9);
+        let exp =
+            simulate_queue(4, 0.6, ServiceDist::Exponential { mean: 1.0 }, 100_000, 9).unwrap();
         let heavy = simulate_queue(
             4,
             0.6,
@@ -218,7 +240,8 @@ mod tests {
             },
             100_000,
             9,
-        );
+        )
+        .unwrap();
         assert!(
             heavy.p99 > exp.p99,
             "heavy {:.2} vs exp {:.2}",
@@ -243,14 +266,51 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = simulate_queue(4, 0.7, ServiceDist::Exponential { mean: 1.0 }, 10_000, 11);
-        let b = simulate_queue(4, 0.7, ServiceDist::Exponential { mean: 1.0 }, 10_000, 11);
+        let a = simulate_queue(4, 0.7, ServiceDist::Exponential { mean: 1.0 }, 10_000, 11).unwrap();
+        let b = simulate_queue(4, 0.7, ServiceDist::Exponential { mean: 1.0 }, 10_000, 11).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    #[should_panic(expected = "utilization")]
     fn rejects_saturated_load() {
-        simulate_queue(2, 1.0, ServiceDist::Exponential { mean: 1.0 }, 1000, 0);
+        assert!(simulate_queue(2, 1.0, ServiceDist::Exponential { mean: 1.0 }, 1000, 0).is_err());
+    }
+
+    #[test]
+    fn rejects_every_impossible_queue() {
+        let exp = ServiceDist::Exponential { mean: 1.0 };
+        for (servers, rho, service, jobs) in [
+            (0, 0.5, exp, 1000),
+            (2, 0.5, exp, 99),
+            (2, 0.0, exp, 1000),
+            (2, f64::NAN, exp, 1000),
+            (2, f64::INFINITY, exp, 1000),
+            (2, 0.5, ServiceDist::Exponential { mean: 0.0 }, 1000),
+            (2, 0.5, ServiceDist::Deterministic { time: f64::NAN }, 1000),
+            (
+                2,
+                0.5,
+                ServiceDist::LogNormal {
+                    mean: f64::INFINITY,
+                    cv2: 1.0,
+                },
+                1000,
+            ),
+            (
+                2,
+                0.5,
+                ServiceDist::LogNormal {
+                    mean: 1.0,
+                    cv2: -2.0,
+                },
+                1000,
+            ),
+        ] {
+            let result = simulate_queue(servers, rho, service, jobs, 0);
+            assert!(
+                matches!(result, Err(WorkloadError::InvalidQueue { .. })),
+                "servers={servers} rho={rho} {service:?} jobs={jobs}: {result:?}"
+            );
+        }
     }
 }

@@ -33,8 +33,9 @@
 //! # Ok::<(), softsku::usku::UskuError>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench` for the
-//! harness that regenerates every table and figure of the paper.
+//! See `examples/` for runnable scenarios, `crates/bench` for the
+//! harness that regenerates every table and figure of the paper, and
+//! `perfbench/` for the benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,6 +6,7 @@
 //! real outcome: the circuit breaker throttles a correlated rollback
 //! storm, quarantine retries rescue a service that one-strike demotion
 //! would kill, and the canary budget paces an otherwise-instant ramp.
+//! Forcing every brownout dark exercises the degrade → recover path.
 
 use softsku::cluster::{ChaosConfig, FailureDomain, FleetTopology, StagedFleet, StagedFleetConfig};
 use softsku::rollout::{
@@ -276,5 +277,22 @@ fn canary_budget_paces_the_ramp() {
         "budget pacing must lengthen the ramp: {} vs {} unmetered",
         paced.ticks,
         open.ticks
+    );
+}
+
+/// With every brownout forced dark, graceful degradation dominates: the
+/// campaign must record degrade → recover episodes (and so an MTTR).
+#[test]
+fn forced_blackouts_degrade_and_recover() {
+    let (topology, _, plans) = demo_campaign(SEED).unwrap();
+    let mut dark = ChaosConfig::campaign();
+    dark.blackout_prob = 1.0;
+    let report = FleetCoordinator::new(CoordinatorConfig::fast_test())
+        .run(&topology, dark, plans, SEED)
+        .unwrap();
+    assert!(
+        report.recoveries > 0,
+        "forced blackouts must produce degrade→recover episodes:\n{}",
+        report.render()
     );
 }

@@ -3,12 +3,15 @@
 //! maps — and the same composed configuration — for any worker count,
 //! because each test's replica seed derives from the test's identity, not
 //! from scheduling. Also pins the parallel sweep to the serial strategy's
-//! winners, with and without injected production hazards.
+//! winners, with and without injected production hazards, and the fleet
+//! tuner's interleaved plan to the per-service sweeps it replaces.
 
 use softsku::cluster::{AbEnvironment, EnvConfig, HazardConfig};
 use softsku::knobs::{Knob, KnobSpace};
 use softsku::usku::metric::PerformanceMetric;
-use softsku::usku::scheduler::{parallel_exhaustive_sweep, parallel_independent_sweep, Schedule};
+use softsku::usku::scheduler::{
+    parallel_exhaustive_sweep, parallel_independent_sweep, FleetTuner, Schedule,
+};
 use softsku::usku::search::{independent_sweep, SearchOutcome};
 use softsku::usku::{AbTestConfig, AbTester};
 use softsku::workloads::{Microservice, PlatformKind};
@@ -121,4 +124,31 @@ fn exhaustive_sweep_is_bit_identical_across_worker_counts() {
         !one.map.joint_results().is_empty(),
         "exhaustive sweep recorded joint configurations"
     );
+}
+
+#[test]
+fn fleet_plan_covers_exactly_the_per_service_sequential_tests() {
+    let targets = [
+        (Microservice::Web, PlatformKind::Skylake18),
+        (Microservice::Cache2, PlatformKind::Skylake18),
+    ];
+    let tuner = |workers: usize| {
+        FleetTuner::new(AbTestConfig::fast_test(), EnvConfig::fast_test(), SEED)
+            .with_knobs(vec![Knob::Thp])
+            .with_workers(NonZeroUsize::new(workers).unwrap())
+    };
+    // The paper's operating mode: each service tuned alone, back to back.
+    let sequential: Vec<usize> = targets
+        .iter()
+        .map(|&target| tuner(1).tune(&[target]).unwrap().test_count())
+        .collect();
+    // The fleet tuner interleaves every service's tests on one pool.
+    let fleet = tuner(2).tune(&targets).unwrap();
+    let per_service: Vec<usize> = fleet
+        .services
+        .iter()
+        .map(|s| s.outcome.map.test_count())
+        .collect();
+    assert_eq!(per_service, sequential);
+    assert_eq!(fleet.test_count(), sequential.iter().sum::<usize>());
 }

@@ -4,7 +4,8 @@
 //! — including its trace: the serialized Chrome trace-event export of the
 //! whole span tree is bit-identical across 1 and 8 workers — and a
 //! guardrail violation injected into a staged fleet rolls the candidate
-//! back instead of promoting it.
+//! back instead of promoting it. Neither tracing, repetition, nor a tail
+//! guard that never fires changes the rendered lifecycle.
 
 use softsku::cluster::{StagedFleet, StagedFleetConfig};
 use softsku::knobs::Knob;
@@ -64,6 +65,16 @@ fn deterministic_view(r: &LifecycleReport) -> String {
         "{:?} {:?} {:?} {:?} {:?} {:?}",
         r.service, r.platform, r.initial, r.drift, r.retuned, r.rollout_ods
     )
+}
+
+fn run_untraced(config: PipelineConfig) -> LifecycleReport {
+    RolloutPipeline::new(config)
+        .run(
+            Microservice::Web,
+            PlatformKind::Skylake18,
+            &[Knob::Thp, Knob::Shp],
+        )
+        .expect("the lifecycle pipeline runs clean")
 }
 
 fn series_len(ods: &TieredOds, service: &str, metric: &str) -> usize {
@@ -243,5 +254,49 @@ fn guardrail_violation_rolls_the_candidate_back() {
     assert_eq!(
         series_len(&ods, "web", LedgerKey::RolloutDeployed.name()),
         0
+    );
+}
+
+#[test]
+fn tracing_and_repetition_leave_the_lifecycle_unchanged() {
+    let untraced = run_untraced(tiny_config(SEED));
+    let (traced, _) = run_cycle(1);
+    assert_eq!(
+        untraced.render(),
+        traced.render(),
+        "tracing must not perturb lifecycle results"
+    );
+    assert_eq!(
+        untraced.render(),
+        run_untraced(tiny_config(SEED)).render(),
+        "repeated lifecycles must be deterministic"
+    );
+}
+
+#[test]
+fn a_tail_guard_that_never_fires_leaves_the_lifecycle_unchanged() {
+    // No code churn: under drift the guard rightly fires on the retuned
+    // canary, which is the detection case, not the quiet-cost one.
+    let mut guarded = tiny_config(SEED);
+    guarded.staged.pushes_per_hour = 0.0;
+    assert!(guarded.rollout.tail_guard.is_some());
+    let mut unguarded = guarded.clone();
+    unguarded.rollout.tail_guard = None;
+
+    let with_guard = run_untraced(guarded);
+    let rollout = with_guard
+        .initial
+        .rollout
+        .as_ref()
+        .expect("a composed SKU must reach the staged rollout");
+    assert_eq!(
+        rollout.state,
+        RolloutState::Deployed,
+        "the guard never fired"
+    );
+    assert_eq!(
+        with_guard.render(),
+        run_untraced(unguarded).render(),
+        "a non-firing tail guard must not perturb lifecycle results"
     );
 }
