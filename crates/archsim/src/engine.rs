@@ -8,9 +8,11 @@ use crate::counters::Counters;
 use crate::error::ArchSimError;
 use crate::memory::MemoryModel;
 use crate::pagemap::{PagePolicy, ThpMode, ThpPlatformTraits};
-use crate::platform::{PlatformKind, PlatformSpec, CACHE_LINE_BYTES};
+use crate::platform::{CacheGeometry, PlatformKind, PlatformSpec, TlbGeometry, CACHE_LINE_BYTES};
 use crate::prefetch::{PrefetchEffect, PrefetcherConfig};
-use crate::stream::StreamSpec;
+use crate::stream::{
+    BranchProfile, ContextSwitchProfile, InstructionMix, PageProfile, PrefetchAffinity, StreamSpec,
+};
 use crate::tlb::TlbHierarchy;
 use crate::tmam::TmamBreakdown;
 use crate::trace::{EventBatch, TraceGenerator};
@@ -359,6 +361,10 @@ impl Engine {
     /// bit-identical at every batch size, so including it would only split
     /// the memo. Collisions at 128 bits are negligible against the ~1e5
     /// distinct tuples a long sweep evaluates.
+    ///
+    /// Every struct is destructured without `..`: a field added to the
+    /// engine, config, platform or stream spec is a compile error here
+    /// until it is hashed or explicitly marked unread (`_`).
     fn fingerprint(
         &self,
         instructions: u64,
@@ -366,119 +372,244 @@ impl Engine {
         background_bw_gbps: f64,
         llc_share: Option<f64>,
     ) -> u128 {
+        let Engine {
+            config,
+            spec,
+            seed,
+            batch_events: _,
+            warmup_override,
+            use_memo: _,
+        } = self;
+        let ServerConfig {
+            platform,
+            core_freq_ghz,
+            uncore_freq_ghz,
+            active_cores,
+            llc_ways_enabled,
+            cdp,
+            prefetchers,
+            thp,
+            shp_pages,
+            machine_memory_bytes,
+        } = config;
+        let PlatformSpec {
+            kind,
+            // A display label; `kind` identifies the part.
+            microarchitecture: _,
+            sockets,
+            cores_per_socket,
+            smt,
+            l1i,
+            l1d,
+            l2,
+            llc,
+            itlb,
+            dtlb,
+            stlb_entries,
+            page_walk_cycles,
+            issue_width,
+            mispredict_penalty_cycles,
+            btb_entries,
+            core_freq_range_ghz,
+            uncore_freq_range_ghz,
+            avx_freq_tax_ghz,
+            avx_fp_threshold,
+            mem_unloaded_latency_ns,
+            mem_peak_bw_gbps,
+            supports_rdt,
+        } = platform;
         let mut h = Fnv128::new();
-        let cfg = &self.config;
-        let p = &cfg.platform;
 
         // Platform.
-        h.push(match p.kind {
+        h.push(match kind {
             PlatformKind::Skylake18 => 0,
             PlatformKind::Skylake20 => 1,
             PlatformKind::Broadwell16 => 2,
         });
-        h.push(u64::from(p.sockets));
-        h.push(u64::from(p.cores_per_socket));
-        h.push(u64::from(p.smt));
-        for g in [&p.l1i, &p.l1d, &p.l2, &p.llc] {
-            h.push(g.capacity_bytes);
-            h.push(u64::from(g.ways));
-            h.push(u64::from(g.latency_cycles));
+        for n in [sockets, cores_per_socket, smt] {
+            h.push(u64::from(*n));
         }
-        for t in [&p.itlb, &p.dtlb] {
-            h.push(u64::from(t.entries_4k));
-            h.push(u64::from(t.entries_2m));
+        for &CacheGeometry {
+            capacity_bytes,
+            ways,
+            latency_cycles,
+        } in [l1i, l1d, l2, llc]
+        {
+            h.push(capacity_bytes);
+            h.push(u64::from(ways));
+            h.push(u64::from(latency_cycles));
         }
-        h.push(u64::from(p.stlb_entries));
-        h.push(u64::from(p.page_walk_cycles));
-        h.push(u64::from(p.issue_width));
-        h.push(u64::from(p.mispredict_penalty_cycles));
-        h.push(u64::from(p.btb_entries));
-        h.push_f64(p.core_freq_range_ghz.0);
-        h.push_f64(p.core_freq_range_ghz.1);
-        h.push_f64(p.uncore_freq_range_ghz.0);
-        h.push_f64(p.uncore_freq_range_ghz.1);
-        h.push_f64(p.avx_freq_tax_ghz);
-        h.push_f64(p.avx_fp_threshold);
-        h.push_f64(p.mem_unloaded_latency_ns);
-        h.push_f64(p.mem_peak_bw_gbps);
-        h.push(u64::from(p.supports_rdt));
+        for &TlbGeometry {
+            entries_4k,
+            entries_2m,
+        } in [itlb, dtlb]
+        {
+            h.push(u64::from(entries_4k));
+            h.push(u64::from(entries_2m));
+        }
+        for n in [
+            stlb_entries,
+            page_walk_cycles,
+            issue_width,
+            mispredict_penalty_cycles,
+            btb_entries,
+        ] {
+            h.push(u64::from(*n));
+        }
+        for v in [
+            core_freq_range_ghz.0,
+            core_freq_range_ghz.1,
+            uncore_freq_range_ghz.0,
+            uncore_freq_range_ghz.1,
+            *avx_freq_tax_ghz,
+            *avx_fp_threshold,
+            *mem_unloaded_latency_ns,
+            *mem_peak_bw_gbps,
+        ] {
+            h.push_f64(v);
+        }
+        h.push(u64::from(*supports_rdt));
 
         // Knob settings.
-        h.push_f64(cfg.core_freq_ghz);
-        h.push_f64(cfg.uncore_freq_ghz);
-        h.push(u64::from(cfg.active_cores));
-        h.push(u64::from(cfg.llc_ways_enabled));
-        match cfg.cdp {
-            Some(part) => {
+        h.push_f64(*core_freq_ghz);
+        h.push_f64(*uncore_freq_ghz);
+        h.push(u64::from(*active_cores));
+        h.push(u64::from(*llc_ways_enabled));
+        match cdp {
+            Some(CdpPartition {
+                data_ways,
+                code_ways,
+            }) => {
                 h.push(1);
-                h.push(u64::from(part.data_ways));
-                h.push(u64::from(part.code_ways));
+                h.push(u64::from(*data_ways));
+                h.push(u64::from(*code_ways));
             }
             None => h.push(0),
         }
-        let pfc = cfg.prefetchers;
+        let PrefetcherConfig {
+            l2_stream,
+            l2_adjacent,
+            dcu,
+            dcu_ip,
+        } = *prefetchers;
         h.push(
-            u64::from(pfc.l2_stream)
-                | u64::from(pfc.l2_adjacent) << 1
-                | u64::from(pfc.dcu) << 2
-                | u64::from(pfc.dcu_ip) << 3,
+            u64::from(l2_stream)
+                | u64::from(l2_adjacent) << 1
+                | u64::from(dcu) << 2
+                | u64::from(dcu_ip) << 3,
         );
-        h.push(match cfg.thp {
+        h.push(match thp {
             ThpMode::Madvise => 0,
             ThpMode::AlwaysOn => 1,
             ThpMode::NeverOn => 2,
         });
-        h.push(u64::from(cfg.shp_pages));
-        h.push(cfg.machine_memory_bytes);
+        h.push(u64::from(*shp_pages));
+        h.push(*machine_memory_bytes);
 
         // Stream spec.
-        let s = &self.spec;
-        h.push_bytes(s.name.as_bytes());
-        h.push_f64(s.mix.branch);
-        h.push_f64(s.mix.fp);
-        h.push_f64(s.mix.arith);
-        h.push_f64(s.mix.load);
-        h.push_f64(s.mix.store);
-        for dist in [
-            &s.code_reuse,
-            &s.data_reuse,
-            &s.code_page_reuse,
-            &s.data_page_reuse,
-        ] {
+        let StreamSpec {
+            name,
+            mix,
+            code_reuse,
+            data_reuse,
+            code_page_reuse,
+            data_page_reuse,
+            branch,
+            prefetch,
+            pages,
+            context_switch,
+            mlp,
+            smt_gain,
+            base_cpi_scale,
+            writeback_factor,
+            burstiness,
+            llc_contention,
+            natural_code_llc_share,
+            extra_mem_lines_per_ki,
+            extra_traffic_prefetch_fraction,
+            frontend_exposure,
+        } = spec;
+        let InstructionMix {
+            branch: branch_share,
+            fp,
+            arith,
+            load,
+            store,
+        } = *mix;
+        let BranchProfile {
+            taken_rate,
+            base_mispredict,
+            branch_working_set,
+        } = *branch;
+        let PrefetchAffinity {
+            sequential,
+            ip_stride,
+            accuracy,
+        } = *prefetch;
+        let PageProfile {
+            data_compaction,
+            code_compaction,
+            madvise_fraction,
+            uses_shp,
+            shp_target_bytes,
+        } = *pages;
+        let ContextSwitchProfile {
+            rate_per_sec,
+            direct_cost_us_low,
+            direct_cost_us_high,
+            pollution_fraction,
+        } = *context_switch;
+        h.push_bytes(name.as_bytes());
+        for v in [branch_share, fp, arith, load, store] {
+            h.push_f64(v);
+        }
+        for dist in [code_reuse, data_reuse, code_page_reuse, data_page_reuse] {
             dist.fingerprint_words(&mut |w| h.push(w));
         }
-        h.push_f64(s.branch.taken_rate);
-        h.push_f64(s.branch.base_mispredict);
-        h.push(u64::from(s.branch.branch_working_set));
-        h.push_f64(s.prefetch.sequential);
-        h.push_f64(s.prefetch.ip_stride);
-        h.push_f64(s.prefetch.accuracy);
-        h.push_f64(s.pages.data_compaction);
-        h.push_f64(s.pages.code_compaction);
-        h.push_f64(s.pages.madvise_fraction);
-        h.push(u64::from(s.pages.uses_shp));
-        h.push(s.pages.shp_target_bytes);
-        h.push_f64(s.context_switch.rate_per_sec);
-        h.push_f64(s.context_switch.direct_cost_us_low);
-        h.push_f64(s.context_switch.direct_cost_us_high);
-        h.push_f64(s.context_switch.pollution_fraction);
-        h.push_f64(s.mlp);
-        h.push_f64(s.smt_gain);
-        h.push_f64(s.base_cpi_scale);
-        h.push_f64(s.writeback_factor);
-        h.push_f64(s.burstiness);
-        h.push_f64(s.llc_contention);
-        h.push_f64(s.natural_code_llc_share);
-        h.push_f64(s.extra_mem_lines_per_ki);
-        h.push_f64(s.extra_traffic_prefetch_fraction);
-        h.push_f64(s.frontend_exposure);
+        h.push_f64(taken_rate);
+        h.push_f64(base_mispredict);
+        h.push(u64::from(branch_working_set));
+        for v in [
+            sequential,
+            ip_stride,
+            accuracy,
+            data_compaction,
+            code_compaction,
+            madvise_fraction,
+        ] {
+            h.push_f64(v);
+        }
+        h.push(u64::from(uses_shp));
+        h.push(shp_target_bytes);
+        for v in [
+            rate_per_sec,
+            direct_cost_us_low,
+            direct_cost_us_high,
+            pollution_fraction,
+        ] {
+            h.push_f64(v);
+        }
+        for v in [
+            mlp,
+            smt_gain,
+            base_cpi_scale,
+            writeback_factor,
+            burstiness,
+            llc_contention,
+            natural_code_llc_share,
+            extra_mem_lines_per_ki,
+            extra_traffic_prefetch_fraction,
+            frontend_exposure,
+        ] {
+            h.push_f64(*v);
+        }
 
         // Seed, warm-up override, and call arguments.
-        h.push(self.seed);
-        match self.warmup_override {
+        h.push(*seed);
+        match warmup_override {
             Some(w) => {
                 h.push(1);
-                h.push(w);
+                h.push(*w);
             }
             None => h.push(0),
         }
@@ -500,42 +631,107 @@ impl Engine {
     /// the natural code share), the resolved LLC share, and the four reuse
     /// distributions (whose footprints set the pre-fill depths). Knobs that
     /// leave the hierarchy untouched — THP, SHP, frequencies, the seed —
-    /// are deliberately absent so their settings share one snapshot.
+    /// are deliberately absent so their settings share one snapshot. As in
+    /// [`Engine::fingerprint`], every struct is destructured without `..`.
     fn structure_key(&self, share: f64) -> u128 {
+        let ServerConfig {
+            platform,
+            core_freq_ghz: _,
+            uncore_freq_ghz: _,
+            active_cores: _,
+            llc_ways_enabled,
+            cdp,
+            prefetchers: _,
+            thp: _,
+            shp_pages: _,
+            machine_memory_bytes: _,
+        } = &self.config;
+        let PlatformSpec {
+            kind: _,
+            microarchitecture: _,
+            sockets: _,
+            cores_per_socket: _,
+            smt: _,
+            l1i,
+            l1d,
+            l2,
+            llc,
+            itlb,
+            dtlb,
+            stlb_entries,
+            page_walk_cycles: _,
+            issue_width: _,
+            mispredict_penalty_cycles: _,
+            btb_entries: _,
+            core_freq_range_ghz: _,
+            uncore_freq_range_ghz: _,
+            avx_freq_tax_ghz: _,
+            avx_fp_threshold: _,
+            mem_unloaded_latency_ns: _,
+            mem_peak_bw_gbps: _,
+            supports_rdt: _,
+        } = platform;
+        let StreamSpec {
+            name: _,
+            mix: _,
+            code_reuse,
+            data_reuse,
+            code_page_reuse,
+            data_page_reuse,
+            branch: _,
+            prefetch: _,
+            pages: _,
+            context_switch: _,
+            mlp: _,
+            smt_gain: _,
+            base_cpi_scale: _,
+            writeback_factor: _,
+            burstiness: _,
+            llc_contention: _,
+            natural_code_llc_share,
+            extra_mem_lines_per_ki: _,
+            extra_traffic_prefetch_fraction: _,
+            frontend_exposure: _,
+        } = &self.spec;
         let mut h = Fnv128::new();
         // Domain separator against REPORT_MEMO keys (different maps, but
         // cheap insurance against cross-use).
         h.push(0x5741_524d); // "WARM"
-        let cfg = &self.config;
-        let p = &cfg.platform;
-        for g in [&p.l1i, &p.l1d, &p.l2, &p.llc] {
-            h.push(g.capacity_bytes);
-            h.push(u64::from(g.ways));
+        for &CacheGeometry {
+            capacity_bytes,
+            ways,
+            latency_cycles: _,
+        } in [l1i, l1d, l2, llc]
+        {
+            h.push(capacity_bytes);
+            h.push(u64::from(ways));
         }
-        for t in [&p.itlb, &p.dtlb] {
-            h.push(u64::from(t.entries_4k));
-            h.push(u64::from(t.entries_2m));
+        for &TlbGeometry {
+            entries_4k,
+            entries_2m,
+        } in [itlb, dtlb]
+        {
+            h.push(u64::from(entries_4k));
+            h.push(u64::from(entries_2m));
         }
-        h.push(u64::from(p.stlb_entries));
-        h.push(u64::from(cfg.llc_ways_enabled));
-        match cfg.cdp {
-            Some(part) => {
+        h.push(u64::from(*stlb_entries));
+        h.push(u64::from(*llc_ways_enabled));
+        match cdp {
+            Some(CdpPartition {
+                data_ways,
+                code_ways,
+            }) => {
                 h.push(1);
-                h.push(u64::from(part.data_ways));
-                h.push(u64::from(part.code_ways));
+                h.push(u64::from(*data_ways));
+                h.push(u64::from(*code_ways));
             }
             None => {
                 h.push(0);
-                h.push_f64(self.spec.natural_code_llc_share);
+                h.push_f64(*natural_code_llc_share);
             }
         }
         h.push_f64(share);
-        for dist in [
-            &self.spec.code_reuse,
-            &self.spec.data_reuse,
-            &self.spec.code_page_reuse,
-            &self.spec.data_page_reuse,
-        ] {
+        for dist in [code_reuse, data_reuse, code_page_reuse, data_page_reuse] {
             dist.fingerprint_words(&mut |w| h.push(w));
         }
         h.finish()
@@ -568,13 +764,12 @@ impl Engine {
     }
 
     /// Simulates `instructions` instructions at `load_fraction` of peak
-    /// offered load and returns the full report.
+    /// offered load and returns the full report: the one-load case of
+    /// [`Engine::run_loads`].
     ///
     /// # Errors
     ///
-    /// [`ArchSimError::FixedPointDiverged`] if the bandwidth/latency
-    /// iteration fails to settle (does not happen for valid configs; the
-    /// queueing curve is a contraction under damping).
+    /// As [`Engine::run_loads`].
     pub fn run_window(
         &self,
         instructions: u64,
@@ -583,11 +778,39 @@ impl Engine {
         self.run_colocated(instructions, load_fraction, 0.0, None)
     }
 
+    /// Simulates one window at each of `loads` (fractions of peak offered
+    /// load, clamped to `[0.05, 1]`) and returns one report per load, in
+    /// order. Each report is bit-identical to `run_window(instructions,
+    /// load)` for its load.
+    ///
+    /// Load reaches the structure pass only through the context-switch
+    /// flush points, so all loads share one trace, one branch-sampling
+    /// sequence and one chunk schedule, and each drives a private copy of
+    /// the cache/TLB hierarchy (see DESIGN.md §13.5). Loads already in the
+    /// report memo are served from it under their single-load keys; the
+    /// misses are evaluated together in one pass. An empty slice returns
+    /// an empty vector.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchSimError::NonFinite`] for a NaN or infinite load;
+    /// [`ArchSimError::FixedPointDiverged`] if the bandwidth/latency
+    /// iteration fails to settle (does not happen for valid configs; the
+    /// queueing curve is a contraction under damping).
+    pub fn run_loads(
+        &self,
+        instructions: u64,
+        loads: &[f64],
+    ) -> Result<Vec<WindowReport>, ArchSimError> {
+        self.run_points(instructions, loads, 0.0, None)
+    }
+
     /// Simulates a window while sharing the socket with a co-runner: the
     /// co-runner contributes `background_bw_gbps` of memory traffic to the
-    /// loaded-latency queue, and `llc_share` (when given) overrides this
-    /// workload's effective LLC fraction (paper Sec. 7: "µSKU and
-    /// co-location"). `run_window` is the dedicated-server special case.
+    /// loaded-latency queue (a negative value counts as none), and
+    /// `llc_share` (when given) overrides this workload's effective LLC
+    /// fraction (paper Sec. 7: "µSKU and co-location"). `run_window` is the
+    /// dedicated-server special case.
     ///
     /// Repeated evaluations of the same tuple — the common case when
     /// `AbEnvironment::fork` spins up replicas that re-measure their
@@ -597,7 +820,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Same as [`Engine::run_window`], plus
+    /// Same as [`Engine::run_loads`], plus [`ArchSimError::NonFinite`] for
+    /// a NaN or infinite `background_bw_gbps` and
     /// [`ArchSimError::InvalidFraction`] for an out-of-range `llc_share`.
     pub fn run_colocated(
         &self,
@@ -606,6 +830,25 @@ impl Engine {
         background_bw_gbps: f64,
         llc_share: Option<f64>,
     ) -> Result<WindowReport, ArchSimError> {
+        let mut reports = self.run_points(
+            instructions,
+            &[load_fraction],
+            background_bw_gbps,
+            llc_share,
+        )?;
+        // One report per load.
+        Ok(reports.swap_remove(0))
+    }
+
+    /// The body of every entry point: validates the call arguments, serves
+    /// memo hits, and evaluates the misses in one shared pass.
+    fn run_points(
+        &self,
+        instructions: u64,
+        loads: &[f64],
+        background_bw_gbps: f64,
+        llc_share: Option<f64>,
+    ) -> Result<Vec<WindowReport>, ArchSimError> {
         if let Some(s) = llc_share {
             if !(s > 0.0 && s <= 1.0) {
                 return Err(ArchSimError::InvalidFraction {
@@ -614,44 +857,75 @@ impl Engine {
                 });
             }
         }
-        if !self.use_memo {
-            return self.evaluate(instructions, load_fraction, background_bw_gbps, llc_share);
+        let arguments = std::iter::once(("background_bw_gbps", background_bw_gbps))
+            .chain(loads.iter().map(|&l| ("load_fraction", l)));
+        for (name, value) in arguments {
+            if !value.is_finite() {
+                return Err(ArchSimError::NonFinite {
+                    name: name.to_string(),
+                    value,
+                });
+            }
         }
-        let key = self.fingerprint(instructions, load_fraction, background_bw_gbps, llc_share);
+        if loads.is_empty() {
+            return Ok(Vec::new());
+        }
+        if !self.use_memo {
+            return self.evaluate(instructions, loads, background_bw_gbps, llc_share);
+        }
+        let keys: Vec<u128> = loads
+            .iter()
+            .map(|&l| self.fingerprint(instructions, l, background_bw_gbps, llc_share))
+            .collect();
         let memo = REPORT_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
         // A poisoned lock only disables the memo (another thread panicked
         // mid-simulation elsewhere); correctness never depends on it.
-        if let Ok(guard) = memo.lock() {
-            if let Some(report) = guard.get(&key) {
-                return Ok(report.clone());
+        let mut reports: Vec<Option<WindowReport>> = match memo.lock() {
+            Ok(guard) => keys.iter().map(|k| guard.get(k).cloned()).collect(),
+            Err(_) => vec![None; keys.len()],
+        };
+        let misses: Vec<f64> = loads
+            .iter()
+            .zip(&reports)
+            .filter(|(_, hit)| hit.is_none())
+            .map(|(&l, _)| l)
+            .collect();
+        if !misses.is_empty() {
+            let fresh = self.evaluate(instructions, &misses, background_bw_gbps, llc_share)?;
+            let mut guard = memo.lock().ok();
+            let empty = reports
+                .iter_mut()
+                .zip(&keys)
+                .filter(|(slot, _)| slot.is_none());
+            for ((slot, &key), report) in empty.zip(fresh) {
+                if let Some(map) = guard.as_mut() {
+                    if map.len() >= REPORT_MEMO_CAP {
+                        map.clear();
+                    }
+                    map.insert(key, report.clone());
+                }
+                *slot = Some(report);
             }
         }
-        let report = self.evaluate(instructions, load_fraction, background_bw_gbps, llc_share)?;
-        if let Ok(mut guard) = memo.lock() {
-            if guard.len() >= REPORT_MEMO_CAP {
-                guard.clear();
-            }
-            guard.insert(key, report.clone());
-        }
-        Ok(report)
+        Ok(reports.into_iter().flatten().collect())
     }
 
-    /// The actual window simulation behind [`Engine::run_colocated`]; a pure
-    /// function of the fingerprinted inputs.
+    /// The window simulation behind [`Engine::run_points`]: one trace pass
+    /// that evaluates every load and returns one report per load, in
+    /// order. A pure function of the fingerprinted inputs.
     fn evaluate(
         &self,
         instructions: u64,
-        load_fraction: f64,
+        loads: &[f64],
         background_bw_gbps: f64,
         llc_share: Option<f64>,
-    ) -> Result<WindowReport, ArchSimError> {
+    ) -> Result<Vec<WindowReport>, ArchSimError> {
         let cfg = &self.config;
         let spec = &self.spec;
         let plat = &cfg.platform;
-        let load = load_fraction.clamp(0.05, 1.0);
 
         // ------------------------------------------------------------------
-        // 1. Resolve derived policies.
+        // 1. Resolve derived policies (none depends on load).
         // ------------------------------------------------------------------
         let freq = cfg.effective_core_freq_ghz(spec.mix.fp);
         let policy = PagePolicy::resolve(
@@ -661,29 +935,63 @@ impl Engine {
             cfg.thp_traits(),
             cfg.machine_memory_bytes,
         );
-        let pf = PrefetchEffect::resolve(cfg.prefetchers, &spec.prefetch);
-        let memory = MemoryModel::new(plat, cfg.uncore_freq_ghz);
+        let resolved = Resolved {
+            freq,
+            policy,
+            pf: PrefetchEffect::resolve(cfg.prefetchers, &spec.prefetch),
+            memory: MemoryModel::new(plat, cfg.uncore_freq_ghz),
+        };
 
         // Per-core effective LLC share under multi-core contention. The LLC
         // is per-socket, so only cores within a socket contend. A co-runner
         // override replaces the same-workload contention estimate.
-        let n = cfg.active_cores as f64;
-        let contending = n.min(plat.cores_per_socket as f64);
+        let contending = (cfg.active_cores as f64).min(plat.cores_per_socket as f64);
         let share = match llc_share {
             Some(s) => s,
             None => 1.0 / (1.0 + (contending - 1.0) * spec.llc_contention),
         };
 
         // ------------------------------------------------------------------
-        // 2. Build structures (or restore a pre-filled snapshot).
+        // 2. One lane per distinct clamped load (duplicates share a lane),
+        //    each with a private copy of the pre-filled hierarchy.
         // ------------------------------------------------------------------
-        let WarmStructures {
-            mut l1i,
-            mut l1d,
-            mut l2,
-            mut llc,
-            mut tlb,
-        } = self.structures_for(share)?;
+        let mut lane_loads: Vec<f64> = Vec::new();
+        let lane_of: Vec<usize> = loads
+            .iter()
+            .map(|l| {
+                let load = l.clamp(0.05, 1.0);
+                match lane_loads
+                    .iter()
+                    .position(|x| x.to_bits() == load.to_bits())
+                {
+                    Some(k) => k,
+                    None => {
+                        lane_loads.push(load);
+                        lane_loads.len() - 1
+                    }
+                }
+            })
+            .collect();
+        let warm = self.structures_for(share)?;
+        let mut lanes: Vec<Lane> = vec![warm; lane_loads.len()]
+            .into_iter()
+            .zip(&lane_loads)
+            .map(|(warm, &load)| {
+                // Context-switch injection interval (instructions); uses a
+                // nominal IPC guess of 1 — only the *pollution placement*
+                // depends on it, the direct cost is computed analytically
+                // in `settle`.
+                let cs_rate = spec.context_switch.rate_per_sec * load;
+                let switch_every =
+                    (cs_rate > 0.0).then(|| ((freq * 1e9) / cs_rate).max(1_000.0) as u64);
+                Lane {
+                    load,
+                    warm,
+                    c: Counters::default(),
+                    switch_every,
+                }
+            })
+            .collect();
         let mut bpu = BranchPredictor::new(
             spec.branch.base_mispredict,
             spec.branch.branch_working_set,
@@ -699,18 +1007,8 @@ impl Engine {
             softsku_telemetry::StreamFamily::EngineSampling,
         ));
 
-        // Context-switch injection interval (instructions); uses a nominal
-        // IPC guess of 1 — only the *pollution placement* depends on it, the
-        // direct cost is computed analytically below.
-        let cs_rate = spec.context_switch.rate_per_sec * load;
-        let insns_per_switch = if cs_rate > 0.0 {
-            ((freq * 1e9) / cs_rate).max(1_000.0) as u64
-        } else {
-            u64::MAX
-        };
-
         // ------------------------------------------------------------------
-        // 4. Drive the structures (batched tick).
+        // 3. Drive the structures (batched tick).
         //
         // The per-event probe chain is restructured into per-structure
         // passes over an SoA event batch. Bit-identity with the per-event
@@ -721,189 +1019,122 @@ impl Engine {
         // structures (unified L2, unified STLB) are driven by an
         // event-ordered merge of the first-level misses, code before data
         // within an event — the per-event probe order. Chunk boundaries are
-        // clamped so the warm-up reset and context-switch flushes land
-        // between the same events as in the per-event loop.
+        // clamped so the warm-up reset and every lane's context-switch
+        // flushes land between the same events as in the per-event loop;
+        // a boundary another lane needs only splits a chunk, which no
+        // result depends on.
         // ------------------------------------------------------------------
         // The pre-fill above supplies steady-state contents; the warm-up
         // only needs to mix the interleaved structures.
         let warmup = self.warmup_override.unwrap_or_else(|| {
             ((instructions as f64 * WARMUP_FRACTION) as u64).clamp(50_000, 400_000)
         });
-        let mut c = Counters::default();
         let total = instructions + warmup;
         let poll = spec.context_switch.pollution_fraction;
 
         let batch_events = self.batch_events as u64;
         let mut batch = EventBatch::with_capacity(self.batch_events.min(total as usize));
-        // Miss lists reused across chunks: event indices for the code side,
-        // data-slot indices for the data side.
-        let mut i1_miss: Vec<u32> = Vec::new();
-        let mut d1_miss: Vec<u32> = Vec::new();
-        let mut itlb_miss: Vec<u32> = Vec::new();
-        let mut dtlb_miss: Vec<u32> = Vec::new();
+        let mut misses = MissLists::default();
 
         let mut i: u64 = 0;
         while i < total {
             if i == warmup {
-                l1i.reset_stats();
-                l1d.reset_stats();
-                l2.reset_stats();
-                llc.reset_stats();
-                tlb.reset_stats();
                 bpu.reset_stats();
-                c = Counters::default();
+                for lane in &mut lanes {
+                    lane.warm.reset_stats();
+                    lane.c = Counters::default();
+                }
             }
-            // Chunk end: never cross the warm-up reset, and end exactly at a
-            // context-switch point (the flush lands after that event).
+            // Chunk end: never cross the warm-up reset, and end exactly at
+            // each lane's next context-switch point (the flush lands after
+            // that event).
             let mut end = total.min(i.saturating_add(batch_events));
             if i < warmup {
                 end = end.min(warmup);
             }
-            if insns_per_switch != u64::MAX {
-                let next_switch = if i == 0 {
-                    insns_per_switch
-                } else {
-                    i.div_ceil(insns_per_switch) * insns_per_switch
-                };
-                end = end.min(next_switch.saturating_add(1));
+            for lane in &lanes {
+                if let Some(next) = lane.next_switch(i) {
+                    end = end.min(next.saturating_add(1));
+                }
             }
             let n = (end - i) as usize;
             gen.fill_batch(&mut batch, n);
 
-            // Whole-batch class tallies (no per-event dispatch).
-            c.instructions += n as u64;
-            c.code_accesses += n as u64;
-            c.branches += batch.branches;
-            c.fp_ops += batch.fp_ops;
-            c.loads += batch.loads;
-            c.stores += batch.stores;
-            c.data_accesses += batch.loads + batch.stores;
-
-            // Independent first-level passes: one array sweep per structure.
-            // The LLC is probed (and its recency updated) on every L1 miss —
-            // mostly-inclusive behaviour; without the recency refresh, lines
-            // hot in L2 would go LLC-stale and the capacity between L2 and
-            // LLC would be invisible.
-            i1_miss.clear();
-            for (k, &line) in batch.code_lines.iter().enumerate() {
-                if !l1i.access(line) {
-                    i1_miss.push(k as u32);
-                }
-            }
-            c.l1i_misses += i1_miss.len() as u64;
-
-            itlb_miss.clear();
-            for (k, &page) in batch.code_pages.iter().enumerate() {
-                if !tlb.probe_code_l1(page, batch.code_huge[k]) {
-                    itlb_miss.push(k as u32);
-                }
-            }
-
-            d1_miss.clear();
-            for (s, &line) in batch.data_lines.iter().enumerate() {
-                if !l1d.access(line) {
-                    d1_miss.push(s as u32);
-                }
-            }
-            c.l1d_misses += d1_miss.len() as u64;
-
-            dtlb_miss.clear();
-            for (s, &page) in batch.data_pages.iter().enumerate() {
-                if !tlb.probe_data_l1(page, batch.data_huge[s]) {
-                    dtlb_miss.push(s as u32);
-                    if batch.data_is_store[s] {
-                        c.dtlb_store_misses += 1;
-                    } else {
-                        c.dtlb_load_misses += 1;
-                    }
-                }
-            }
-
-            // Ordered fix-up over the shared L2 (and the LLC, probed right
-            // after it per missing event): event-ordered merge of the
-            // first-level misses, code before data within an event.
-            let (mut ci, mut di) = (0usize, 0usize);
-            while ci < i1_miss.len() || di < d1_miss.len() {
-                let ce = i1_miss.get(ci).copied().unwrap_or(u32::MAX);
-                let de = d1_miss
-                    .get(di)
-                    .map_or(u32::MAX, |&s| batch.data_event[s as usize]);
-                if ce <= de {
-                    let line = batch.code_lines[ce as usize];
-                    let l2_hit = l2.access(line | CODE_TAG);
-                    let llc_hit = llc.access_code(line);
-                    if !l2_hit {
-                        c.l2_code_misses += 1;
-                        if !llc_hit {
-                            c.llc_code_misses += 1;
-                        }
-                    }
-                    ci += 1;
-                } else {
-                    let s = d1_miss[di] as usize;
-                    let line = batch.data_lines[s];
-                    let l2_hit = l2.access(line);
-                    let llc_hit = llc.access_data(line);
-                    if !l2_hit {
-                        c.l2_data_misses += 1;
-                        if !llc_hit {
-                            c.llc_data_misses += 1;
-                        }
-                    }
-                    di += 1;
-                }
-            }
-
-            // Same event-ordered merge for the shared STLB.
-            let (mut ci, mut di) = (0usize, 0usize);
-            while ci < itlb_miss.len() || di < dtlb_miss.len() {
-                let ce = itlb_miss.get(ci).copied().unwrap_or(u32::MAX);
-                let de = dtlb_miss
-                    .get(di)
-                    .map_or(u32::MAX, |&s| batch.data_event[s as usize]);
-                if ce <= de {
-                    let k = ce as usize;
-                    let _ = tlb.probe_stlb_code(batch.code_pages[k], batch.code_huge[k]);
-                    ci += 1;
-                } else {
-                    let s = dtlb_miss[di] as usize;
-                    let _ = tlb.probe_stlb_data(batch.data_pages[s], batch.data_huge[s]);
-                    di += 1;
-                }
-            }
-
-            // Branch pass: the BPU carries no state between draws, so
-            // replaying the batch's branch count consumes the engine
-            // sampling stream in exactly the per-event order.
+            // Branch pass, shared by every lane: the BPU carries no state
+            // between draws, so replaying the batch's branch count consumes
+            // the engine sampling stream in exactly the per-event order.
+            let mut mispredicts = 0;
             for _ in 0..batch.branches {
                 if bpu.predict(&mut rng) {
-                    c.branch_mispredicts += 1;
+                    mispredicts += 1;
                 }
             }
 
-            // Context-switch pollution after the event at the switch point.
             let last = end - 1;
-            if last > 0 && insns_per_switch != u64::MAX && last.is_multiple_of(insns_per_switch) {
-                l1i.flush_fraction(poll);
-                l1d.flush_fraction(poll);
-                l2.flush_fraction(poll * 0.5);
-                tlb.flush_fraction(poll);
+            for lane in &mut lanes {
+                // Whole-batch class tallies (no per-event dispatch).
+                let c = &mut lane.c;
+                c.instructions += n as u64;
+                c.code_accesses += n as u64;
+                c.branches += batch.branches;
+                c.fp_ops += batch.fp_ops;
+                c.loads += batch.loads;
+                c.stores += batch.stores;
+                c.data_accesses += batch.loads + batch.stores;
+                c.branch_mispredicts += mispredicts;
+                lane.warm.drive(&batch, c, &mut misses);
+                // Context-switch pollution after the event at the switch
+                // point.
+                if last > 0 && lane.switch_every.is_some_and(|p| last.is_multiple_of(p)) {
+                    lane.warm.flush_fraction(poll);
+                }
             }
             i = end;
         }
 
-        // Fill TLB/branch aggregate stats into counters.
-        let (_, itlb_miss, itlb_walk) = tlb.itlb_stats();
-        let (_, dtlb_miss, dtlb_walk) = tlb.dtlb_stats();
-        c.itlb_misses = itlb_miss;
-        c.itlb_walks = itlb_walk;
-        c.dtlb_misses = dtlb_miss;
-        c.dtlb_walks = dtlb_walk;
-        let (_, _, btb) = bpu.stats();
-        c.btb_misses = btb;
+        // Fill TLB/branch aggregate stats into counters, then settle each
+        // lane's operating point.
+        let (_, _, btb_misses) = bpu.stats();
+        let mut reports = Vec::with_capacity(lanes.len());
+        for Lane {
+            load, warm, mut c, ..
+        } in lanes
+        {
+            let (_, itlb_misses, itlb_walks) = warm.tlb.itlb_stats();
+            let (_, dtlb_misses, dtlb_walks) = warm.tlb.dtlb_stats();
+            c.itlb_misses = itlb_misses;
+            c.itlb_walks = itlb_walks;
+            c.dtlb_misses = dtlb_misses;
+            c.dtlb_walks = dtlb_walks;
+            c.btb_misses = btb_misses;
+            reports.push(self.settle(c, load, background_bw_gbps, &resolved)?);
+        }
+        Ok(lane_of.iter().map(|&k| reports[k].clone()).collect())
+    }
+
+    /// Turns one lane's measured counters into its report: prefetch and SHP
+    /// transforms, then the CPI fixed point at `load`.
+    fn settle(
+        &self,
+        mut c: Counters,
+        load: f64,
+        background_bw_gbps: f64,
+        resolved: &Resolved,
+    ) -> Result<WindowReport, ArchSimError> {
+        let cfg = &self.config;
+        let spec = &self.spec;
+        let plat = &cfg.platform;
+        let Resolved {
+            freq,
+            policy,
+            pf,
+            memory,
+        } = *resolved;
+        let n = cfg.active_cores as f64;
+        let cs_rate = spec.context_switch.rate_per_sec * load;
 
         // ------------------------------------------------------------------
-        // 5. Prefetch coverage + SHP pressure transforms (aggregate).
+        // 4. Prefetch coverage + SHP pressure transforms (aggregate).
         // ------------------------------------------------------------------
         let ins = c.instructions as f64;
         let shp_bump = 1.0 + policy.shp_pressure_penalty * SHP_PRESSURE_GAIN;
@@ -939,7 +1170,7 @@ impl Engine {
         c.mem_extra_lines = spec.extra_mem_lines_per_ki * extra_scale * ins / 1000.0;
 
         // ------------------------------------------------------------------
-        // 6. CPI fixed point (memory latency <-> bandwidth).
+        // 5. CPI fixed point (memory latency <-> bandwidth).
         // ------------------------------------------------------------------
         // Latencies in core cycles at frequency `freq`.
         let l2_lat = plat.l2.latency_cycles as f64;
@@ -1056,6 +1287,175 @@ impl Engine {
     }
 }
 
+/// The load-independent policies one evaluation resolves from its config
+/// and spec before the structure pass.
+struct Resolved {
+    /// Core frequency after the AVX tax, GHz.
+    freq: f64,
+    policy: PagePolicy,
+    pf: PrefetchEffect,
+    memory: MemoryModel,
+}
+
+/// One load's private state in a shared trace pass: its own copy of the
+/// hierarchy and its own counters, flushed only at its own
+/// context-switch points.
+struct Lane {
+    /// Clamped load fraction.
+    load: f64,
+    warm: WarmStructures,
+    c: Counters,
+    /// Instructions between context switches; `None` when the workload
+    /// never switches.
+    switch_every: Option<u64>,
+}
+
+impl Lane {
+    /// The first switch point at or after event `i` (event 0 never
+    /// switches).
+    fn next_switch(&self, i: u64) -> Option<u64> {
+        self.switch_every
+            .map(|p| if i == 0 { p } else { i.div_ceil(p) * p })
+    }
+}
+
+/// First-level miss lists reused across chunks and lanes: event indices
+/// for the code side, data-slot indices for the data side.
+#[derive(Default)]
+struct MissLists {
+    l1i: Vec<u32>,
+    l1d: Vec<u32>,
+    itlb: Vec<u32>,
+    dtlb: Vec<u32>,
+}
+
+impl WarmStructures {
+    /// Drives one chunk of events through the hierarchy and tallies the
+    /// structure counters into `c`.
+    fn drive(&mut self, batch: &EventBatch, c: &mut Counters, miss: &mut MissLists) {
+        let WarmStructures {
+            l1i,
+            l1d,
+            l2,
+            llc,
+            tlb,
+        } = self;
+
+        // Independent first-level passes: one array sweep per structure.
+        // The LLC is probed (and its recency updated) on every L1 miss —
+        // mostly-inclusive behaviour; without the recency refresh, lines
+        // hot in L2 would go LLC-stale and the capacity between L2 and
+        // LLC would be invisible.
+        miss.l1i.clear();
+        for (k, &line) in batch.code_lines.iter().enumerate() {
+            if !l1i.access(line) {
+                miss.l1i.push(k as u32);
+            }
+        }
+        c.l1i_misses += miss.l1i.len() as u64;
+
+        miss.itlb.clear();
+        for (k, &page) in batch.code_pages.iter().enumerate() {
+            if !tlb.probe_code_l1(page, batch.code_huge[k]) {
+                miss.itlb.push(k as u32);
+            }
+        }
+
+        miss.l1d.clear();
+        for (s, &line) in batch.data_lines.iter().enumerate() {
+            if !l1d.access(line) {
+                miss.l1d.push(s as u32);
+            }
+        }
+        c.l1d_misses += miss.l1d.len() as u64;
+
+        miss.dtlb.clear();
+        for (s, &page) in batch.data_pages.iter().enumerate() {
+            if !tlb.probe_data_l1(page, batch.data_huge[s]) {
+                miss.dtlb.push(s as u32);
+                if batch.data_is_store[s] {
+                    c.dtlb_store_misses += 1;
+                } else {
+                    c.dtlb_load_misses += 1;
+                }
+            }
+        }
+
+        // Ordered fix-up over the shared L2 (and the LLC, probed right
+        // after it per missing event): event-ordered merge of the
+        // first-level misses, code before data within an event.
+        let (mut ci, mut di) = (0usize, 0usize);
+        while ci < miss.l1i.len() || di < miss.l1d.len() {
+            let ce = miss.l1i.get(ci).copied().unwrap_or(u32::MAX);
+            let de = miss
+                .l1d
+                .get(di)
+                .map_or(u32::MAX, |&s| batch.data_event[s as usize]);
+            if ce <= de {
+                let line = batch.code_lines[ce as usize];
+                let l2_hit = l2.access(line | CODE_TAG);
+                let llc_hit = llc.access_code(line);
+                if !l2_hit {
+                    c.l2_code_misses += 1;
+                    if !llc_hit {
+                        c.llc_code_misses += 1;
+                    }
+                }
+                ci += 1;
+            } else {
+                let s = miss.l1d[di] as usize;
+                let line = batch.data_lines[s];
+                let l2_hit = l2.access(line);
+                let llc_hit = llc.access_data(line);
+                if !l2_hit {
+                    c.l2_data_misses += 1;
+                    if !llc_hit {
+                        c.llc_data_misses += 1;
+                    }
+                }
+                di += 1;
+            }
+        }
+
+        // Same event-ordered merge for the shared STLB.
+        let (mut ci, mut di) = (0usize, 0usize);
+        while ci < miss.itlb.len() || di < miss.dtlb.len() {
+            let ce = miss.itlb.get(ci).copied().unwrap_or(u32::MAX);
+            let de = miss
+                .dtlb
+                .get(di)
+                .map_or(u32::MAX, |&s| batch.data_event[s as usize]);
+            if ce <= de {
+                let k = ce as usize;
+                let _ = tlb.probe_stlb_code(batch.code_pages[k], batch.code_huge[k]);
+                ci += 1;
+            } else {
+                let s = miss.dtlb[di] as usize;
+                let _ = tlb.probe_stlb_data(batch.data_pages[s], batch.data_huge[s]);
+                di += 1;
+            }
+        }
+    }
+
+    /// Clears every structure's statistics (the warm-up reset).
+    fn reset_stats(&mut self) {
+        self.l1i.reset_stats();
+        self.l1d.reset_stats();
+        self.l2.reset_stats();
+        self.llc.reset_stats();
+        self.tlb.reset_stats();
+    }
+
+    /// Context-switch pollution: drops `poll` of the private structures'
+    /// contents (half of it in the L2); the LLC is left intact.
+    fn flush_fraction(&mut self, poll: f64) {
+        self.l1i.flush_fraction(poll);
+        self.l1d.flush_fraction(poll);
+        self.l2.flush_fraction(poll * 0.5);
+        self.tlb.flush_fraction(poll);
+    }
+}
+
 /// Builds the cache/TLB hierarchy and pre-fills it with steady-state MRU
 /// contents.
 ///
@@ -1126,18 +1526,15 @@ fn build_warm_structures(
     for id in dp_pw.saturating_sub(seedn)..dp_pw {
         let _ = tlb.access_data(id, false);
     }
-    l1i.reset_stats();
-    l1d.reset_stats();
-    l2.reset_stats();
-    llc.reset_stats();
-    tlb.reset_stats();
-    Ok(WarmStructures {
+    let mut warm = WarmStructures {
         l1i,
         l1d,
         l2,
         llc,
         tlb,
-    })
+    };
+    warm.reset_stats();
+    Ok(warm)
 }
 
 /// Base (no-stall) CPI from the instruction mix: per-class issue costs on a
@@ -1359,5 +1756,52 @@ mod tests {
             always.counters.dtlb_misses,
             never.counters.dtlb_misses
         );
+    }
+
+    fn is_non_finite(r: Result<impl std::fmt::Debug, ArchSimError>, arg: &str) -> bool {
+        matches!(r, Err(ArchSimError::NonFinite { ref name, .. }) if name == arg)
+    }
+
+    #[test]
+    fn non_finite_loads_are_rejected_on_every_entry_point() {
+        let e = engine_with(ServerConfig::stock(PlatformSpec::skylake18()));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(is_non_finite(e.run_window(WINDOW, bad), "load_fraction"));
+            assert!(is_non_finite(
+                e.run_colocated(WINDOW, bad, 0.0, None),
+                "load_fraction"
+            ));
+            assert!(is_non_finite(
+                e.run_loads(WINDOW, &[0.5, bad, 1.0]),
+                "load_fraction"
+            ));
+        }
+    }
+
+    #[test]
+    fn non_finite_background_bandwidth_is_rejected() {
+        let e = engine_with(ServerConfig::stock(PlatformSpec::skylake18()));
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert!(is_non_finite(
+                e.run_colocated(WINDOW, 1.0, bad, None),
+                "background_bw_gbps"
+            ));
+        }
+        // A negative co-runner bandwidth still counts as none.
+        assert_eq!(
+            e.run_colocated(WINDOW, 1.0, -3.0, None).unwrap(),
+            e.run_window(WINDOW, 1.0).unwrap()
+        );
+    }
+
+    #[test]
+    fn empty_load_slice_is_an_empty_result() {
+        let e = engine_with(ServerConfig::stock(PlatformSpec::skylake18()));
+        assert!(e.run_loads(WINDOW, &[]).unwrap().is_empty());
+        assert!(e
+            .with_memo(false)
+            .run_loads(WINDOW, &[])
+            .unwrap()
+            .is_empty());
     }
 }

@@ -42,6 +42,13 @@ pub enum ArchSimError {
         /// Offending value.
         value: f64,
     },
+    /// A numeric call argument was NaN or infinite.
+    NonFinite {
+        /// Name of the offending argument.
+        name: String,
+        /// Offending value.
+        value: f64,
+    },
     /// A reuse-distance distribution had no components or bad weights.
     InvalidDistribution(String),
     /// The engine's bandwidth/latency fixed point failed to converge.
@@ -77,6 +84,9 @@ impl fmt::Display for ArchSimError {
             ),
             ArchSimError::InvalidFraction { name, value } => {
                 write!(f, "parameter {name} = {value} outside [0, 1]")
+            }
+            ArchSimError::NonFinite { name, value } => {
+                write!(f, "argument {name} = {value} is not finite")
             }
             ArchSimError::InvalidDistribution(why) => {
                 write!(f, "invalid reuse-distance distribution: {why}")
@@ -116,6 +126,10 @@ mod tests {
             ArchSimError::InvalidFraction {
                 name: "taken_rate".into(),
                 value: 1.5,
+            },
+            ArchSimError::NonFinite {
+                name: "load_fraction".into(),
+                value: f64::NAN,
             },
             ArchSimError::InvalidDistribution("empty mixture".into()),
             ArchSimError::FixedPointDiverged { iterations: 64 },

@@ -202,13 +202,21 @@ impl ReuseDistanceDist {
     /// pure function of these inputs, so two distributions that feed the
     /// same words sample identically.
     pub fn fingerprint_words(&self, sink: &mut impl FnMut(u64)) {
-        sink(self.points.len() as u64);
-        for &(d, p) in &self.points {
+        // No `..`: a new field is a compile error until it is fed or
+        // marked as derived.
+        let ReuseDistanceDist {
+            points,
+            cold_fraction,
+            footprint,
+            segs: _,
+        } = self;
+        sink(points.len() as u64);
+        for &(d, p) in points {
             sink(d);
             sink(p.to_bits());
         }
-        sink(self.cold_fraction.to_bits());
-        sink(self.footprint);
+        sink(cold_fraction.to_bits());
+        sink(*footprint);
     }
 
     /// Analytic miss ratio of a fully-associative LRU cache with `capacity`

@@ -5,10 +5,10 @@
 //! every instruction of every sample would be intractable and pointless —
 //! the microarchitecture does not change between samples, only load and
 //! noise do. [`SimServer`] therefore evaluates the architecture engine once
-//! per (configuration, load level) and caches a small load→performance
-//! curve; the cheap per-sample path interpolates it. Code pushes invalidate
-//! the cache (the binary changed), reproducing the measurement-vs-evolution
-//! tension of paper Sec. 4.
+//! per configuration — the whole load grid in one engine pass — and caches
+//! a small load→performance curve; the cheap per-sample path interpolates
+//! it. Code pushes invalidate the cache (the binary changed), reproducing
+//! the measurement-vs-evolution tension of paper Sec. 4.
 
 use crate::error::ClusterError;
 use softsku_archsim::engine::{Engine, ServerConfig, WindowReport};
@@ -95,7 +95,8 @@ impl SimServer {
         // configuration at peak load (see DESIGN.md on Table 2 consistency).
         let prod = server.profile.production_config.clone();
         let prod_mips = server
-            .evaluate(&prod, server.profile.peak_utilization)?
+            .engine(prod)?
+            .run_window(server.window_insns, server.profile.peak_utilization)?
             .mips_total;
         server.production_mips = prod_mips;
         server.insn_per_query = prod_mips * 1e6 / server.profile.request.peak_qps;
@@ -274,62 +275,25 @@ impl SimServer {
     fn curve_for(&mut self, config: ServerConfig) -> Result<&LoadCurve, ClusterError> {
         let key = config_key(&config, self.push_cpi_scale);
         if !self.cache.contains_key(&key) {
-            // The three load-grid evaluations are independent; run them in
-            // parallel (they dominate the cost of every reconfiguration).
-            let profile = &self.profile;
-            let push_scale = self.push_cpi_scale;
-            let seed = self.seed;
-            let window = self.window_insns;
-            let eval = |load: f64| -> Result<WindowReport, ClusterError> {
-                let mut stream = profile.stream.clone();
-                stream.base_cpi_scale *= push_scale;
-                let engine = Engine::new(config.clone(), stream, seed)?;
-                Ok(engine.run_window(window, load)?)
-            };
-            let results: Vec<Result<WindowReport, ClusterError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = LOAD_GRID
-                    .iter()
-                    .map(|&g| {
-                        let eval = &eval;
-                        scope.spawn(move || eval(g * profile.peak_utilization))
-                    })
-                    .collect();
-                // detlint::allow(panic_path): join() only fails if the worker
-                // panicked; re-raising that panic is the correct response.
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("evaluation thread panicked"))
-                    .collect()
-            });
-            let mut mips = [0.0; 3];
-            let mut peak_report = None;
-            for (i, result) in results.into_iter().enumerate() {
-                let report = result?;
-                mips[i] = report.mips_total;
-                if i == LOAD_GRID.len() - 1 {
-                    peak_report = Some(report);
-                }
-            }
-            self.cache.insert(
-                key,
-                LoadCurve {
-                    mips,
-                    // detlint::allow(panic_path): LOAD_GRID has a fixed,
-                    // non-zero length, so the last iteration always sets it.
-                    peak_report: peak_report.expect("grid is non-empty"),
-                },
-            );
+            // One engine pass evaluates the whole load grid: the grid
+            // points share a trace and differ only in their
+            // context-switch flushes.
+            let loads = LOAD_GRID.map(|g| g * self.profile.peak_utilization);
+            let mut reports = self.engine(config)?.run_loads(self.window_insns, &loads)?;
+            // `run_loads` returns one report per load, in order.
+            let mips = std::array::from_fn(|i| reports[i].mips_total);
+            let peak_report = reports.swap_remove(LOAD_GRID.len() - 1);
+            self.cache.insert(key, LoadCurve { mips, peak_report });
         }
-        // detlint::allow(panic_path): the entry was inserted two statements
-        // up under this very key.
-        Ok(self.cache.get(&key).expect("inserted above"))
+        Ok(&self.cache[&key])
     }
 
-    fn evaluate(&self, config: &ServerConfig, load: f64) -> Result<WindowReport, ClusterError> {
+    /// The engine for `config` running this server's workload under the
+    /// current code-push state.
+    fn engine(&self, config: ServerConfig) -> Result<Engine, ClusterError> {
         let mut stream = self.profile.stream.clone();
         stream.base_cpi_scale *= self.push_cpi_scale;
-        let engine = Engine::new(config.clone(), stream, self.seed)?;
-        Ok(engine.run_window(self.window_insns, load)?)
+        Ok(Engine::new(config, stream, self.seed)?)
     }
 }
 

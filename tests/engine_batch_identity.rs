@@ -11,9 +11,14 @@
 //!    the snapshot path) draws the same measurement sequence as a fork of
 //!    a *cold* one (everything re-simulated — the re-warm path), so the
 //!    stream registry is consumed identically either way.
+//! 4. A multi-load pass (`run_loads`) returns, for every load, exactly the
+//!    report a single-load `run_window` computes, whatever the batch size,
+//!    memo state, duplicates, clamping, per-load flush points, or mix of
+//!    memo hits and freshly evaluated loads.
 
 use proptest::prelude::*;
 use softsku::archsim::engine::{Engine, WindowReport};
+use softsku::archsim::StreamSpec;
 use softsku::cluster::{AbEnvironment, EnvConfig};
 use softsku::workloads::{Microservice, PlatformKind};
 
@@ -77,6 +82,41 @@ fn engine_for(service: Microservice, seed: u64) -> Engine {
     Engine::new(profile.stock_config.clone(), profile.stream.clone(), seed).unwrap()
 }
 
+/// `service`'s stream, optionally with a context-switch rate high enough
+/// that each load of a multi-load pass flushes at different events (every
+/// ~10k–200k instructions, so several times per window).
+fn stream_for(service: Microservice, busy: bool) -> StreamSpec {
+    let mut stream = service.profile(PlatformKind::Skylake18).unwrap().stream;
+    if busy {
+        stream.context_switch.rate_per_sec = 150_000.0;
+        stream.context_switch.pollution_fraction = 0.3;
+    }
+    stream
+}
+
+fn busy_engine(service: Microservice, busy: bool, seed: u64) -> Engine {
+    let profile = service.profile(PlatformKind::Skylake18).unwrap();
+    Engine::new(profile.stock_config, stream_for(service, busy), seed).unwrap()
+}
+
+/// Single-load references: one memo-bypassing `run_window` per load.
+fn single_load_signatures(
+    engine: impl Fn() -> Engine,
+    window: u64,
+    loads: &[f64],
+) -> Vec<Vec<u64>> {
+    loads
+        .iter()
+        .map(|&l| signature(&engine().with_memo(false).run_window(window, l).unwrap()))
+        .collect()
+}
+
+/// Load fractions for the multi-load pass: in-range grid points plus
+/// values the engine clamps to 0.05 or 1.0. Drawing 1–4 of them from this
+/// small set produces duplicates often.
+const LOAD_CHOICES: [f64; 8] = [-0.4, 0.0, 0.3, 0.5, 0.75, 0.9, 1.0, 1.6];
+const MULTI_BATCH_SIZES: [usize; 3] = [1, 7, 4096];
+
 const SERVICES: [Microservice; 3] = [Microservice::Web, Microservice::Feed1, Microservice::Ads1];
 const BATCH_SIZES: [usize; 3] = [1, 64, 4096];
 
@@ -103,6 +143,51 @@ proptest! {
             .unwrap();
         prop_assert_eq!(signature(&reference), signature(&probe));
     }
+
+    /// One multi-load pass matches a single-load window per load, bit for
+    /// bit. With the memo on, the pass populates the memo (the references
+    /// bypass it); a repeated (service, seed) draw would be served from the
+    /// memo, which the memo-hit test pins to the same bits.
+    #[test]
+    fn run_loads_matches_run_window_per_load(
+        service_idx in 0usize..3,
+        seed in 1u64..1000,
+        batch_idx in 0usize..3,
+        memo in any::<bool>(),
+        busy in any::<bool>(),
+        load_idx in prop::collection::vec(0usize..LOAD_CHOICES.len(), 1..=4),
+    ) {
+        let service = SERVICES[service_idx];
+        let loads: Vec<f64> = load_idx.iter().map(|&k| LOAD_CHOICES[k]).collect();
+        let probe = busy_engine(service, busy, seed)
+            .with_memo(memo)
+            .with_batch_size(MULTI_BATCH_SIZES[batch_idx])
+            .run_loads(60_000, &loads)
+            .unwrap();
+        let probe: Vec<Vec<u64>> = probe.iter().map(signature).collect();
+        let reference = single_load_signatures(|| busy_engine(service, busy, seed), 60_000, &loads);
+        prop_assert_eq!(reference, probe);
+    }
+}
+
+/// The partial-memo path: one grid load is evaluated (and memoised) first,
+/// so the later three-load call serves it from the memo and evaluates the
+/// other two in one shared pass. Every report still matches its
+/// single-load window, under a context-switch rate that gives each load
+/// its own flush points.
+#[test]
+fn partial_memo_hit_merges_with_the_shared_pass() {
+    const WINDOW: u64 = 64_000;
+    let loads = [0.5, 0.75, 1.0];
+    let engine = || busy_engine(Microservice::Feed1, true, 9_001);
+    let first = engine().run_window(WINDOW, loads[1]).unwrap();
+    let curve = engine().run_loads(WINDOW, &loads).unwrap();
+    let reference = single_load_signatures(engine, WINDOW, &loads);
+    assert_eq!(signature(&first), reference[1]);
+    assert_eq!(curve.iter().map(signature).collect::<Vec<_>>(), reference);
+    // The three busy loads flush at different events, so their structure
+    // counters differ: the pass really kept one hierarchy per load.
+    assert_ne!(curve[0].counters.l1i_misses, curve[2].counters.l1i_misses);
 }
 
 /// A memo hit is bit-identical to the evaluation that populated it and to a
