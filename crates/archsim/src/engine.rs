@@ -15,9 +15,9 @@ use crate::stream::{
 };
 use crate::tlb::TlbHierarchy;
 use crate::tmam::TmamBreakdown;
-use crate::trace::{EventBatch, TraceGenerator};
+use crate::trace::{EventBatch, HugePageMix, TraceGenerator};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Everything the seven µSKU knobs can change about a server, plus the
 /// platform it runs on.
@@ -195,7 +195,7 @@ const SHP_PRESSURE_GAIN: f64 = 10.0;
 /// Extra backend cycles per FP op when the FP fraction is high (port
 /// pressure under dense AVX work).
 const FP_PRESSURE_CPI: f64 = 0.15;
-/// Events pulled from the trace generator per batched tick. Large enough
+/// Events copied from the window's trace per batched tick. Large enough
 /// to amortize per-chunk pass setup, small enough that the SoA buffers and
 /// miss lists stay L2-resident.
 const DEFAULT_BATCH_EVENTS: usize = 4096;
@@ -249,6 +249,28 @@ struct WarmStructures {
 /// every A/B window of an arm, and every knob setting that leaves the
 /// cache/TLB geometry untouched (THP, SHP, frequencies) share one entry.
 static STRUCT_MEMO: OnceLock<Mutex<HashMap<u128, WarmStructures>>> = OnceLock::new();
+
+/// Resident-byte bound for the trace memo. A trace costs about 29 bytes
+/// per event (≈ 3 MiB for a 60k-instruction window plus its 50k warm-up),
+/// so this holds about twenty such traces: what a seven-service tuning
+/// campaign keeps reusing at a time. As with the other memos, the map
+/// clears wholesale when the next trace would not fit.
+const TRACE_MEMO_BYTES: usize = 64 << 20;
+
+/// Process-wide memo of generated traces: a window's whole event stream
+/// (warm-up included), keyed by exactly what the trace generator reads
+/// ([`Engine::trace_key`]). The trace never depends on frequencies, CDP,
+/// LLC ways, prefetchers, core count or load, so every arm, fork and knob
+/// setting of an A/B test that shares a seed and page mix replays one
+/// trace instead of regenerating it.
+static TRACE_MEMO: OnceLock<Mutex<TraceMemo>> = OnceLock::new();
+
+/// The trace memo's map and the heap bytes its traces hold.
+#[derive(Default)]
+struct TraceMemo {
+    traces: HashMap<u128, Arc<EventBatch>>,
+    bytes: usize,
+}
 
 /// Incremental 128-bit FNV-1a hasher fed 64-bit words (little-endian).
 struct Fnv128(u128);
@@ -314,10 +336,11 @@ impl Engine {
         })
     }
 
-    /// Enables or disables the process-wide report memo for this engine
-    /// (default on). Identity tests and throughput benchmarks turn it off to
-    /// force a full evaluation; memo hits are bit-identical to evaluation,
-    /// so production callers never need to.
+    /// Enables or disables the process-wide memos for this engine: reports,
+    /// structure snapshots and traces (default on). Identity tests and
+    /// throughput benchmarks turn them off to force a full evaluation; memo
+    /// hits are bit-identical to evaluation, so production callers never
+    /// need to.
     pub fn with_memo(mut self, enabled: bool) -> Self {
         self.use_memo = enabled;
         self
@@ -737,6 +760,124 @@ impl Engine {
         h.finish()
     }
 
+    /// Content fingerprint of one window's trace: exactly the inputs
+    /// [`TraceGenerator::new`] and the event count read — the instruction
+    /// mix, the four reuse distributions, the huge-page compaction factors,
+    /// the resolved huge-page mix, the seed and the number of events.
+    /// Everything else is deliberately absent, so knob settings that leave
+    /// the page mix alone (frequencies, cores, CDP, LLC ways, prefetchers)
+    /// and every load share one trace. `StreamSpec` is destructured
+    /// without `..`: a new field is a compile error here until it is
+    /// hashed or marked unread.
+    fn trace_key(&self, huge: HugePageMix, events: u64) -> u128 {
+        let StreamSpec {
+            mix,
+            code_reuse,
+            data_reuse,
+            code_page_reuse,
+            data_page_reuse,
+            pages,
+            // Read by the structure pass, the BPU or the CPI model, never
+            // by the trace generator.
+            name: _,
+            branch: _,
+            prefetch: _,
+            context_switch: _,
+            mlp: _,
+            smt_gain: _,
+            base_cpi_scale: _,
+            writeback_factor: _,
+            burstiness: _,
+            llc_contention: _,
+            natural_code_llc_share: _,
+            extra_mem_lines_per_ki: _,
+            extra_traffic_prefetch_fraction: _,
+            frontend_exposure: _,
+        } = &self.spec;
+        let InstructionMix {
+            branch,
+            fp,
+            arith,
+            load,
+            store,
+        } = *mix;
+        let PageProfile {
+            data_compaction,
+            code_compaction,
+            // These reach the trace only through the resolved page mix.
+            madvise_fraction: _,
+            uses_shp: _,
+            shp_target_bytes: _,
+        } = *pages;
+        let HugePageMix {
+            code_huge_fraction,
+            data_huge_fraction,
+        } = huge;
+        let mut h = Fnv128::new();
+        h.push(0x5452_4143); // "TRAC"
+        for v in [branch, fp, arith, load, store] {
+            h.push_f64(v);
+        }
+        for dist in [code_reuse, data_reuse, code_page_reuse, data_page_reuse] {
+            dist.fingerprint_words(&mut |w| h.push(w));
+        }
+        for v in [
+            code_compaction,
+            data_compaction,
+            code_huge_fraction,
+            data_huge_fraction,
+        ] {
+            h.push_f64(v);
+        }
+        h.push(self.seed);
+        h.push(events);
+        h.finish()
+    }
+
+    /// Returns this engine's trace of `events` events under page mix
+    /// `huge` — shared from the process-wide trace memo when the memo is
+    /// enabled, generated afresh otherwise. A memoised trace is the same
+    /// event stream a fresh generator produces, so this only trades wall
+    /// time and memory.
+    fn trace_for(&self, huge: HugePageMix, events: u64) -> Arc<EventBatch> {
+        let generate = || {
+            let n = events as usize;
+            let mut trace = EventBatch::with_capacity(n);
+            TraceGenerator::new(&self.spec, huge, self.seed).fill_batch(&mut trace, n);
+            trace.shrink_to_fit();
+            Arc::new(trace)
+        };
+        if !self.use_memo {
+            return generate();
+        }
+        let key = self.trace_key(huge, events);
+        let memo = TRACE_MEMO.get_or_init(|| Mutex::new(TraceMemo::default()));
+        if let Ok(guard) = memo.lock() {
+            if let Some(trace) = guard.traces.get(&key) {
+                return Arc::clone(trace);
+            }
+        }
+        // Build outside the lock; a racing builder produces the same trace
+        // and the first one to publish wins.
+        let trace = generate();
+        let bytes = trace.heap_bytes();
+        if bytes > TRACE_MEMO_BYTES {
+            return trace;
+        }
+        if let Ok(mut guard) = memo.lock() {
+            if let Some(first) = guard.traces.get(&key) {
+                return Arc::clone(first);
+            }
+            if guard.bytes + bytes > TRACE_MEMO_BYTES {
+                guard.traces.clear();
+                guard.bytes = 0;
+            }
+            guard.bytes += bytes;
+            guard.traces.insert(key, Arc::clone(&trace));
+        }
+        trace
+    }
+
     /// Returns the pre-filled structure hierarchy for this engine's config
     /// at the given LLC share — from the process-wide snapshot cache when
     /// the memo is enabled, built from scratch otherwise. A restored
@@ -928,13 +1069,7 @@ impl Engine {
         // 1. Resolve derived policies (none depends on load).
         // ------------------------------------------------------------------
         let freq = cfg.effective_core_freq_ghz(spec.mix.fp);
-        let policy = PagePolicy::resolve(
-            &spec.pages,
-            cfg.thp,
-            cfg.shp_pages,
-            cfg.thp_traits(),
-            cfg.machine_memory_bytes,
-        );
+        let policy = self.page_policy();
         let resolved = Resolved {
             freq,
             policy,
@@ -997,11 +1132,6 @@ impl Engine {
             spec.branch.branch_working_set,
             plat.btb_entries,
         );
-        let huge_mix = crate::trace::HugePageMix {
-            code_huge_fraction: policy.huge_code_fraction,
-            data_huge_fraction: policy.huge_data_fraction,
-        };
-        let mut gen = TraceGenerator::new(spec, huge_mix, self.seed);
         let mut rng = rand_for(softsku_telemetry::stream_seed(
             self.seed,
             softsku_telemetry::StreamFamily::EngineSampling,
@@ -1024,13 +1154,10 @@ impl Engine {
         // a boundary another lane needs only splits a chunk, which no
         // result depends on.
         // ------------------------------------------------------------------
-        // The pre-fill above supplies steady-state contents; the warm-up
-        // only needs to mix the interleaved structures.
-        let warmup = self.warmup_override.unwrap_or_else(|| {
-            ((instructions as f64 * WARMUP_FRACTION) as u64).clamp(50_000, 400_000)
-        });
+        let warmup = self.warmup(instructions);
         let total = instructions + warmup;
         let poll = spec.context_switch.pollution_fraction;
+        let trace = self.trace_for(huge_mix(&policy), total);
 
         let batch_events = self.batch_events as u64;
         let mut batch = EventBatch::with_capacity(self.batch_events.min(total as usize));
@@ -1058,7 +1185,7 @@ impl Engine {
                 }
             }
             let n = (end - i) as usize;
-            gen.fill_batch(&mut batch, n);
+            batch.copy_chunk(&trace, i as usize..end as usize);
 
             // Branch pass, shared by every lane: the BPU carries no state
             // between draws, so replaying the batch's branch count consumes
@@ -1110,6 +1237,28 @@ impl Engine {
             reports.push(self.settle(c, load, background_bw_gbps, &resolved)?);
         }
         Ok(lane_of.iter().map(|&k| reports[k].clone()).collect())
+    }
+
+    /// The page policy (huge-page coverage and SHP pressure) this engine's
+    /// THP/SHP knobs resolve to for its workload.
+    fn page_policy(&self) -> PagePolicy {
+        let cfg = &self.config;
+        PagePolicy::resolve(
+            &self.spec.pages,
+            cfg.thp,
+            cfg.shp_pages,
+            cfg.thp_traits(),
+            cfg.machine_memory_bytes,
+        )
+    }
+
+    /// Warm-up instructions simulated before a window of `instructions`.
+    /// The pre-fill supplies steady-state contents; the warm-up only needs
+    /// to mix the interleaved structures.
+    fn warmup(&self, instructions: u64) -> u64 {
+        self.warmup_override.unwrap_or_else(|| {
+            ((instructions as f64 * WARMUP_FRACTION) as u64).clamp(50_000, 400_000)
+        })
     }
 
     /// Turns one lane's measured counters into its report: prefetch and SHP
@@ -1537,6 +1686,14 @@ fn build_warm_structures(
     Ok(warm)
 }
 
+/// The huge-page coverage a page policy gives the trace generator.
+fn huge_mix(policy: &PagePolicy) -> HugePageMix {
+    HugePageMix {
+        code_huge_fraction: policy.huge_code_fraction,
+        data_huge_fraction: policy.huge_data_fraction,
+    }
+}
+
 /// Base (no-stall) CPI from the instruction mix: per-class issue costs on a
 /// 4-wide machine with typical port pressure.
 fn base_cpi(mix: &crate::stream::InstructionMix) -> f64 {
@@ -1792,6 +1949,290 @@ mod tests {
             e.run_colocated(WINDOW, 1.0, -3.0, None).unwrap(),
             e.run_window(WINDOW, 1.0).unwrap()
         );
+    }
+
+    const REPORT: u8 = 1;
+    const STRUCTURE: u8 = 2;
+    const TRACE: u8 = 4;
+
+    /// One engine call's memo inputs: the engine, the call arguments, the
+    /// LLC share its structure lookup resolves to, and (when set) a page
+    /// mix that replaces the one its THP/SHP knobs resolve to.
+    struct Lookup {
+        engine: Engine,
+        instructions: u64,
+        load: f64,
+        background_bw_gbps: f64,
+        llc_share: Option<f64>,
+        share: f64,
+        huge: Option<HugePageMix>,
+    }
+
+    impl Lookup {
+        fn new(seed: u64, load: f64) -> Self {
+            Lookup {
+                engine: Engine::new(
+                    ServerConfig::stock(PlatformSpec::skylake18()),
+                    test_spec(),
+                    seed,
+                )
+                .unwrap(),
+                instructions: WINDOW,
+                load,
+                background_bw_gbps: 0.0,
+                llc_share: None,
+                share: 0.5,
+                huge: None,
+            }
+        }
+
+        /// The page mix the trace lookup uses.
+        fn huge(&self) -> HugePageMix {
+            self.huge
+                .unwrap_or_else(|| huge_mix(&self.engine.page_policy()))
+        }
+
+        /// The report, structure and trace keys of this call.
+        fn keys(&self) -> [u128; 3] {
+            let e = &self.engine;
+            [
+                e.fingerprint(
+                    self.instructions,
+                    self.load,
+                    self.background_bw_gbps,
+                    self.llc_share,
+                ),
+                e.structure_key(self.share),
+                e.trace_key(self.huge(), self.instructions + e.warmup(self.instructions)),
+            ]
+        }
+    }
+
+    type Perturb = fn(&mut Lookup, f64);
+
+    /// One perturbation per input field: the field, the keys it must
+    /// change, the keys it may change (THP/SHP inputs reach the trace only
+    /// through the resolved page mix, which a given nudge may leave
+    /// alone), and the nudge by `k` > 0. Every key outside both sets must
+    /// stay the same.
+    fn perturbations() -> Vec<(&'static str, u8, u8, Perturb)> {
+        let any = REPORT | STRUCTURE | TRACE;
+        vec![
+            ("core_freq_ghz", REPORT, 0, |l, k| {
+                l.engine.config.core_freq_ghz += k
+            }),
+            ("uncore_freq_ghz", REPORT, 0, |l, k| {
+                l.engine.config.uncore_freq_ghz += k
+            }),
+            ("active_cores", REPORT, 0, |l, _| {
+                l.engine.config.active_cores -= 1
+            }),
+            ("llc_ways_enabled", REPORT | STRUCTURE, 0, |l, _| {
+                l.engine.config.llc_ways_enabled -= 1
+            }),
+            ("cdp", REPORT | STRUCTURE, 0, |l, _| {
+                l.engine.config.cdp = Some(CdpPartition {
+                    data_ways: 9,
+                    code_ways: 2,
+                })
+            }),
+            ("prefetchers", REPORT, 0, |l, _| {
+                l.engine.config.prefetchers.dcu ^= true
+            }),
+            ("thp", REPORT, TRACE, |l, _| {
+                l.engine.config.thp = ThpMode::NeverOn
+            }),
+            ("shp_pages", REPORT, TRACE, |l, _| {
+                l.engine.config.shp_pages += 100
+            }),
+            ("machine_memory_bytes", REPORT, TRACE, |l, _| {
+                l.engine.config.machine_memory_bytes /= 2
+            }),
+            ("platform.kind", REPORT, TRACE, |l, _| {
+                l.engine.config.platform.kind = PlatformKind::Broadwell16
+            }),
+            ("platform.microarchitecture", 0, 0, |l, _| {
+                l.engine.config.platform.microarchitecture = "relabelled"
+            }),
+            (
+                "platform.l1d.capacity_bytes",
+                REPORT | STRUCTURE,
+                0,
+                |l, _| l.engine.config.platform.l1d.capacity_bytes *= 2,
+            ),
+            ("platform.llc.latency_cycles", REPORT, 0, |l, _| {
+                l.engine.config.platform.llc.latency_cycles += 1
+            }),
+            ("platform.itlb.entries_4k", REPORT | STRUCTURE, 0, |l, _| {
+                l.engine.config.platform.itlb.entries_4k *= 2
+            }),
+            ("platform.stlb_entries", REPORT | STRUCTURE, 0, |l, _| {
+                l.engine.config.platform.stlb_entries *= 2
+            }),
+            ("platform.page_walk_cycles", REPORT, 0, |l, _| {
+                l.engine.config.platform.page_walk_cycles += 1
+            }),
+            ("platform.btb_entries", REPORT, 0, |l, _| {
+                l.engine.config.platform.btb_entries += 1
+            }),
+            ("platform.core_freq_range_ghz", REPORT, 0, |l, k| {
+                l.engine.config.platform.core_freq_range_ghz.1 += k
+            }),
+            ("platform.mem_peak_bw_gbps", REPORT, 0, |l, k| {
+                l.engine.config.platform.mem_peak_bw_gbps += k
+            }),
+            ("platform.supports_rdt", REPORT, 0, |l, _| {
+                l.engine.config.platform.supports_rdt ^= true
+            }),
+            ("spec.name", REPORT, 0, |l, _| l.engine.spec.name.push('*')),
+            ("spec.mix.branch", REPORT | TRACE, 0, |l, k| {
+                l.engine.spec.mix.branch += k
+            }),
+            ("spec.mix.store", REPORT | TRACE, 0, |l, k| {
+                l.engine.spec.mix.store += k
+            }),
+            ("spec.code_reuse", any, 0, |l, k| {
+                l.engine.spec.code_reuse = l.engine.spec.code_reuse.compacted(1.5 + k)
+            }),
+            ("spec.data_reuse", any, 0, |l, k| {
+                l.engine.spec.data_reuse = l.engine.spec.data_reuse.compacted(1.5 + k)
+            }),
+            ("spec.code_page_reuse", any, 0, |l, k| {
+                l.engine.spec.code_page_reuse = l.engine.spec.code_page_reuse.compacted(1.5 + k)
+            }),
+            ("spec.data_page_reuse", any, 0, |l, k| {
+                l.engine.spec.data_page_reuse = l.engine.spec.data_page_reuse.compacted(1.5 + k)
+            }),
+            ("spec.branch.base_mispredict", REPORT, 0, |l, k| {
+                l.engine.spec.branch.base_mispredict += k
+            }),
+            ("spec.branch.branch_working_set", REPORT, 0, |l, _| {
+                l.engine.spec.branch.branch_working_set += 1
+            }),
+            ("spec.prefetch.accuracy", REPORT, 0, |l, k| {
+                l.engine.spec.prefetch.accuracy += k
+            }),
+            ("spec.pages.data_compaction", REPORT | TRACE, 0, |l, k| {
+                l.engine.spec.pages.data_compaction += k
+            }),
+            ("spec.pages.code_compaction", REPORT | TRACE, 0, |l, k| {
+                l.engine.spec.pages.code_compaction += k
+            }),
+            ("spec.pages.madvise_fraction", REPORT, TRACE, |l, k| {
+                l.engine.spec.pages.madvise_fraction += k
+            }),
+            ("spec.pages.uses_shp", REPORT, TRACE, |l, _| {
+                l.engine.spec.pages.uses_shp ^= true
+            }),
+            ("spec.pages.shp_target_bytes", REPORT, TRACE, |l, _| {
+                l.engine.spec.pages.shp_target_bytes += 1 << 21
+            }),
+            ("spec.context_switch.rate_per_sec", REPORT, 0, |l, k| {
+                l.engine.spec.context_switch.rate_per_sec += k
+            }),
+            (
+                "spec.context_switch.pollution_fraction",
+                REPORT,
+                0,
+                |l, k| l.engine.spec.context_switch.pollution_fraction += k,
+            ),
+            (
+                "spec.context_switch.direct_cost_us_low",
+                REPORT,
+                0,
+                |l, k| l.engine.spec.context_switch.direct_cost_us_low += k,
+            ),
+            ("spec.mlp", REPORT, 0, |l, k| l.engine.spec.mlp += k),
+            ("spec.smt_gain", REPORT, 0, |l, k| {
+                l.engine.spec.smt_gain += k
+            }),
+            ("spec.base_cpi_scale", REPORT, 0, |l, k| {
+                l.engine.spec.base_cpi_scale += k
+            }),
+            ("spec.writeback_factor", REPORT, 0, |l, k| {
+                l.engine.spec.writeback_factor += k
+            }),
+            ("spec.burstiness", REPORT, 0, |l, k| {
+                l.engine.spec.burstiness += k
+            }),
+            ("spec.llc_contention", REPORT, 0, |l, k| {
+                l.engine.spec.llc_contention += k
+            }),
+            (
+                "spec.natural_code_llc_share",
+                REPORT | STRUCTURE,
+                0,
+                |l, k| l.engine.spec.natural_code_llc_share += k,
+            ),
+            ("spec.extra_mem_lines_per_ki", REPORT, 0, |l, k| {
+                l.engine.spec.extra_mem_lines_per_ki += k
+            }),
+            ("spec.extra_traffic_prefetch_fraction", REPORT, 0, |l, k| {
+                l.engine.spec.extra_traffic_prefetch_fraction += k
+            }),
+            ("spec.frontend_exposure", REPORT, 0, |l, k| {
+                l.engine.spec.frontend_exposure += k
+            }),
+            ("seed", REPORT | TRACE, 0, |l, _| {
+                l.engine.seed = l.engine.seed.wrapping_add(1)
+            }),
+            ("warmup_override", REPORT | TRACE, 0, |l, _| {
+                l.engine.warmup_override = Some(123_457)
+            }),
+            ("batch_events", 0, 0, |l, _| l.engine.batch_events = 7),
+            ("use_memo", 0, 0, |l, _| l.engine.use_memo = false),
+            ("instructions", REPORT | TRACE, 0, |l, _| {
+                l.instructions += 1_000
+            }),
+            ("load_fraction", REPORT, 0, |l, k| l.load += k),
+            ("background_bw_gbps", REPORT, 0, |l, k| {
+                l.background_bw_gbps += k
+            }),
+            ("llc_share", REPORT, 0, |l, _| l.llc_share = Some(0.5)),
+            ("share", STRUCTURE, 0, |l, k| l.share += k),
+            ("huge.code_huge_fraction", TRACE, 0, |l, k| {
+                let mut huge = l.huge();
+                huge.code_huge_fraction += k;
+                l.huge = Some(huge);
+            }),
+            ("huge.data_huge_fraction", TRACE, 0, |l, k| {
+                let mut huge = l.huge();
+                huge.data_huge_fraction += k;
+                l.huge = Some(huge);
+            }),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Every memo key covers exactly its inputs: a nudge to a field a
+        /// key reads changes the key (so the memo cannot serve a stale
+        /// result), and a nudge to a field it does not read leaves the key
+        /// alone. The second half pins the trace memo's sharing: knobs
+        /// other than THP/SHP, the CPI model's terms and the load never
+        /// split a trace.
+        #[test]
+        fn memo_keys_change_exactly_with_the_fields_they_cover(
+            seed in proptest::prelude::any::<u64>(),
+            load in 0.05f64..1.0,
+            k in 0.01f64..2.0,
+        ) {
+            let before = Lookup::new(seed, load).keys();
+            for (field, changes, may_change, perturb) in perturbations() {
+                let mut lookup = Lookup::new(seed, load);
+                perturb(&mut lookup, k);
+                let after = lookup.keys();
+                for (i, key) in ["report", "structure", "trace"].into_iter().enumerate() {
+                    let bit = 1u8 << i;
+                    if changes & bit != 0 {
+                        proptest::prop_assert_ne!(before[i], after[i], "{} must change the {} key", field, key);
+                    } else if may_change & bit == 0 {
+                        proptest::prop_assert_eq!(before[i], after[i], "{} must not change the {} key", field, key);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

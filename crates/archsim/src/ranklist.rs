@@ -19,6 +19,12 @@
 //! Slots vacated by removals are reclaimed lazily: when the front of the
 //! array is exhausted, the live elements are compacted into a fresh array
 //! with headroom proportional to the length (amortized O(1) per push).
+//!
+//! A pre-warmed stack ([`RankList::descending`]) stores none of its initial
+//! values: slots past the written part of the array hold a descending run
+//! computed from the slot index, so building a million-entry stack costs
+//! only its presence bitmap and never touches the value array it would
+//! otherwise fill.
 
 /// Capacity of the hot front buffer. Reuse-distance distributions are
 /// heavily weighted toward shallow ranks (L1-scale distances dominate), so
@@ -55,20 +61,25 @@ pub struct RankList {
     hot: std::collections::VecDeque<u64>,
     /// Value slots in recency order: lower index = more recently pushed.
     /// Only slots whose presence bit is set are live. Holds the sequence
-    /// *after* the hot buffer.
+    /// *after* the hot buffer. Slots at or past `vals.len()` were never
+    /// written: their values are implicit (see `RankList::value`).
     vals: Vec<u64>,
-    /// Presence bitmap over `vals` (one bit per slot).
+    /// Presence bitmap over every slot, stored or implicit (one bit per
+    /// slot).
     bits: Vec<u64>,
     /// Fenwick tree (1-indexed) over the *words* of `bits`: entry `i`
     /// covers the popcounts of a power-of-two run of 64-slot words. Keeping
     /// the tree at word granularity makes it 64x smaller than a per-slot
     /// tree — it stays cache-resident at multi-million-entry footprints,
-    /// and cloning a pre-warmed template costs a third less memcpy.
+    /// and a pre-warmed stack builds it in O(n/64).
     fen: Vec<u32>,
     /// First slot that may be live; slots below `front` are unused headroom.
     front: usize,
     /// Live element count in the backing array (excludes the hot buffer).
     back_len: usize,
+    /// Value of the first implicit slot (`vals.len()`); each later slot
+    /// holds one less.
+    implicit_top: u64,
 }
 
 impl RankList {
@@ -83,6 +94,7 @@ impl RankList {
             fen: Vec::new(),
             front: 0,
             back_len: 0,
+            implicit_top: 0,
         }
     }
 
@@ -98,10 +110,40 @@ impl RankList {
         list
     }
 
-    /// Retained from the treap-based revision (re-seeded the priority
-    /// stream after cloning a shared template); the flat representation has
-    /// no per-instance randomness, so this is a no-op.
-    pub fn reseed(&mut self, _seed: u64) {}
+    /// Builds the list `n-1, n-2, …, 0` (front to back) in O(n/64): the
+    /// pre-warmed LRU stack of a trace stream, whose ids descend so that
+    /// the next cold id continues the sequence. Equal to
+    /// `with_sequence(_, (0..n).rev())`, but the values stay implicit until
+    /// a compaction materialises them, so the value array is never filled
+    /// and, beyond the push headroom, never allocated.
+    pub fn descending(n: u64) -> Self {
+        let implicit_top = n.saturating_sub(1);
+        let n = n as usize;
+        let slack = push_headroom(n);
+        let cap = n + slack;
+        let words = cap.div_ceil(64);
+        // Presence bits for slots [slack, cap), a word at a time.
+        let mut bits = vec![0u64; words];
+        for (w, word) in bits.iter_mut().enumerate().skip(slack >> 6) {
+            let lo = slack.max(w << 6) - (w << 6);
+            let hi = cap.min((w + 1) << 6) - (w << 6);
+            *word = (u64::MAX >> (64 - (hi - lo))) << lo;
+        }
+        let mut list = RankList {
+            hot: std::collections::VecDeque::with_capacity(HOT_CAP + 1),
+            // Only the headroom below `front` is written before the first
+            // compaction, and its zeroed pages are not touched until a
+            // push reaches them.
+            vals: vec![0; slack],
+            bits,
+            fen: vec![0; words + 1],
+            front: slack,
+            back_len: n,
+            implicit_top,
+        };
+        list.build_fenwick();
+        list
+    }
 
     /// Number of stored elements.
     pub fn len(&self) -> usize {
@@ -151,7 +193,7 @@ impl RankList {
             return None;
         }
         let slot = self.select_slot(back as u32 + 1);
-        Some(self.vals[slot])
+        Some(self.value(slot))
     }
 
     /// Collects the sequence front-to-back (O(n); for tests and debugging).
@@ -186,27 +228,35 @@ impl RankList {
         self.bits[slot >> 6] &= !(1u64 << (slot & 63));
         self.fen_add((slot >> 6) + 1, -1);
         self.back_len -= 1;
-        Some(self.vals[slot])
+        Some(self.value(slot))
+    }
+
+    /// The value in `slot`: stored below `vals.len()`, implicit at or past
+    /// it (the descending run a pre-warmed stack started with).
+    fn value(&self, slot: usize) -> u64 {
+        match self.vals.get(slot) {
+            Some(&v) => v,
+            None => self.implicit_top - (slot - self.vals.len()) as u64,
+        }
     }
 
     /// Live backing values in recency order.
     fn collect_back(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.back_len);
-        for slot in self.front..self.vals.len() {
+        for slot in self.front..self.bits.len() * 64 {
             if self.bits[slot >> 6] & (1u64 << (slot & 63)) != 0 {
-                out.push(self.vals[slot]);
+                out.push(self.value(slot));
             }
         }
         out
     }
 
-    /// Re-lays `live` (front-to-back order) into a fresh array with push
-    /// headroom below it, and rebuilds the Fenwick tree in O(n).
+    /// Re-lays `live` (front-to-back order) into a fresh, fully stored
+    /// array with push headroom below it, and rebuilds the Fenwick tree in
+    /// O(n).
     fn rebuild_back(&mut self, live: Vec<u64>) {
         let n = live.len();
-        // Headroom sized to the live set: compaction then costs O(cap) per
-        // ~n/2 pushes — amortized O(1) per push.
-        let slack = (n / 2).max(64);
+        let slack = push_headroom(n);
         let cap = n + slack;
         let words = cap.div_ceil(64);
         self.vals = vec![0; cap];
@@ -219,7 +269,13 @@ impl RankList {
             self.vals[slot] = v;
             self.bits[slot >> 6] |= 1u64 << (slot & 63);
         }
-        // O(n) Fenwick construction from per-word popcounts.
+        self.build_fenwick();
+    }
+
+    /// O(words) Fenwick construction from per-word popcounts into a zeroed
+    /// `fen`.
+    fn build_fenwick(&mut self) {
+        let words = self.bits.len();
         for i in 1..=words {
             self.fen[i] += self.bits[i - 1].count_ones();
             let j = i + (i & i.wrapping_neg());
@@ -263,6 +319,12 @@ impl RankList {
         }
         (pos << 6) + word.trailing_zeros() as usize
     }
+}
+
+/// Push headroom below `n` live slots. Sized to the live set, so a
+/// compaction costs O(n) per ~n/2 pushes — amortized O(1) per push.
+fn push_headroom(n: usize) -> usize {
+    (n / 2).max(64)
 }
 
 #[cfg(test)]
@@ -386,6 +448,37 @@ mod tests {
                 model.insert(0, i);
             }
         }
+        assert_eq!(list.to_vec(), model);
+    }
+
+    #[test]
+    fn descending_materialises_its_values_on_compaction() {
+        let n = 5_000u64;
+        let mut list = RankList::descending(n);
+        let mut model: Vec<u64> = (0..n).rev().collect();
+        assert_eq!(
+            list.vals.len(),
+            push_headroom(n as usize),
+            "values start implicit"
+        );
+        let mut state = 7u64;
+        for i in n..n + 8_000 {
+            state = state
+                .wrapping_mul(2862933555777941757)
+                .wrapping_add(3037000493);
+            if state.is_multiple_of(4) {
+                let rank = ((state >> 33) as usize) % model.len();
+                assert_eq!(list.remove_at(rank), Some(model.remove(rank)));
+            } else {
+                list.push_front(i);
+                model.insert(0, i);
+            }
+        }
+        assert_eq!(
+            list.vals.len().div_ceil(64),
+            list.bits.len(),
+            "a compaction stored every value"
+        );
         assert_eq!(list.to_vec(), model);
     }
 

@@ -8,8 +8,9 @@
 //! (code lines, data lines, code pages, data pages) with the instruction
 //! mix to emit per-instruction events for the cache/TLB/branch simulators —
 //! one at a time via [`TraceGenerator::next_event`], or into reusable
-//! structure-of-arrays buffers via [`TraceGenerator::fill_batch`] for the
-//! engine's batched tick.
+//! structure-of-arrays buffers via [`TraceGenerator::fill_batch`]. The
+//! engine fills one batch with a whole window's trace and drives its
+//! structures over consecutive chunks of it.
 
 use crate::ranklist::RankList;
 use crate::reuse::ReuseDistanceDist;
@@ -31,18 +32,6 @@ pub struct StackMapper {
 /// every structure of interest anyway).
 const PREWARM_CAP: u64 = 1 << 20;
 
-/// Stacks at least this large are cloned from the shared template cache.
-const TEMPLATE_MIN: u64 = 1 << 17;
-/// Seed for cached templates. The flat [`RankList`] has no internal
-/// randomness, so this is shape-sharing bookkeeping only.
-const TEMPLATE_SEED: u64 = 0x7E3A_11CE;
-
-fn template_cache() -> &'static std::sync::Mutex<std::collections::HashMap<u64, RankList>> {
-    static CACHE: std::sync::OnceLock<std::sync::Mutex<std::collections::HashMap<u64, RankList>>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(|| std::sync::Mutex::new(std::collections::HashMap::new()))
-}
-
 /// Number of ids a mapper for `dist` starts with (its steady-state stack),
 /// and therefore the id range `[prewarm_len - k, prewarm_len)` that holds
 /// the `k` most-recently-used ids at construction time. The engine uses
@@ -52,45 +41,23 @@ pub fn prewarm_len(dist: &ReuseDistanceDist) -> u64 {
 }
 
 impl StackMapper {
-    /// Creates a mapper for one reuse-distance distribution. Sampling
-    /// randomness is supplied per access; `seed` is threaded to the stack
-    /// for interface stability (the flat stack itself is deterministic).
+    /// Creates a mapper for one reuse-distance distribution. `seed` is
+    /// unused: sampling randomness is supplied per access, and the stack
+    /// itself is deterministic.
     ///
     /// The stack is pre-warmed to the distribution's footprint (capped at
-    /// ~2M ids) so that long reuse distances resolve to real "old" ids from
-    /// the first access instead of being clamped into a short history —
-    /// without this, short measurement windows would systematically
-    /// under-report large-capacity misses.
-    pub fn new(dist: ReuseDistanceDist, seed: u64) -> Self {
+    /// 2^20 ids) so that long reuse distances resolve to real "old" ids
+    /// from the first access instead of being clamped into a short history
+    /// — without this, short measurement windows would systematically
+    /// under-report large-capacity misses. The pre-warmed stack is
+    /// implicit ([`RankList::descending`]): building it costs O(n/64) and
+    /// copies no values.
+    pub fn new(dist: ReuseDistanceDist, _seed: u64) -> Self {
         let prewarm = prewarm_len(&dist);
         // Front of the stack = most recently used; ids descend so that the
-        // next cold id continues the sequence. Large stacks are cloned from
-        // a process-wide template cache: the pre-warmed contents depend only
-        // on the footprint, and a memcpy is several times cheaper than
-        // rebuilding a multi-million-entry stack per engine evaluation.
-        let stack = if prewarm >= TEMPLATE_MIN {
-            let template = {
-                let cache = template_cache().lock().expect("template cache poisoned");
-                cache.get(&prewarm).cloned()
-            };
-            let mut stack = match template {
-                Some(stack) => stack,
-                None => {
-                    // Build outside the lock: the template depends only on
-                    // the footprint, so a racing builder produces identical
-                    // contents and the first one back wins the cache slot.
-                    let built = RankList::with_sequence(TEMPLATE_SEED, (0..prewarm).rev());
-                    let mut cache = template_cache().lock().expect("template cache poisoned");
-                    cache.entry(prewarm).or_insert(built).clone()
-                }
-            };
-            stack.reseed(seed);
-            stack
-        } else {
-            RankList::with_sequence(seed, (0..prewarm).rev())
-        };
+        // next cold id continues the sequence.
         StackMapper {
-            stack,
+            stack: RankList::descending(prewarm),
             dist,
             next_id: prewarm,
         }
@@ -217,7 +184,7 @@ pub struct HugePageMix {
 /// uses the precomputed class tallies instead of per-event `match`
 /// dispatch. Buffers are reused across [`TraceGenerator::fill_batch`]
 /// calls, so steady-state filling does not allocate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventBatch {
     /// Instruction class per event.
     pub classes: Vec<InsnClass>,
@@ -275,6 +242,72 @@ impl EventBatch {
     /// True when the batch holds no events.
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty()
+    }
+
+    /// Heap bytes held by the buffers (their capacity, not their length).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.classes.capacity() * size_of::<InsnClass>()
+            + (self.code_lines.capacity()
+                + self.code_pages.capacity()
+                + self.data_lines.capacity()
+                + self.data_pages.capacity())
+                * size_of::<u64>()
+            + (self.code_huge.capacity()
+                + self.data_is_store.capacity()
+                + self.data_huge.capacity())
+                * size_of::<bool>()
+            + self.data_event.capacity() * size_of::<u32>()
+    }
+
+    /// Releases spare buffer capacity.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.classes.shrink_to_fit();
+        self.code_lines.shrink_to_fit();
+        self.code_pages.shrink_to_fit();
+        self.code_huge.shrink_to_fit();
+        self.data_event.shrink_to_fit();
+        self.data_is_store.shrink_to_fit();
+        self.data_lines.shrink_to_fit();
+        self.data_pages.shrink_to_fit();
+        self.data_huge.shrink_to_fit();
+    }
+
+    /// Replaces this batch's contents with the consecutive events
+    /// `events` (a range of event indices) of `trace`: the same events a
+    /// chunked [`TraceGenerator::fill_batch`] would have produced, tallies
+    /// included, with data owners indexed from the chunk's first event.
+    pub(crate) fn copy_chunk(&mut self, trace: &EventBatch, events: std::ops::Range<usize>) {
+        // `data_event` is sorted (event order), so the chunk's loads and
+        // stores are one contiguous run of data slots.
+        let data_event = &trace.data_event;
+        let lo = data_event.partition_point(|&e| (e as usize) < events.start);
+        let hi = lo + data_event[lo..].partition_point(|&e| (e as usize) < events.end);
+        let first = events.start as u32;
+        self.clear();
+        self.classes
+            .extend_from_slice(&trace.classes[events.clone()]);
+        self.code_lines
+            .extend_from_slice(&trace.code_lines[events.clone()]);
+        self.code_pages
+            .extend_from_slice(&trace.code_pages[events.clone()]);
+        self.code_huge.extend_from_slice(&trace.code_huge[events]);
+        self.data_event
+            .extend(data_event[lo..hi].iter().map(|&e| e - first));
+        self.data_is_store
+            .extend_from_slice(&trace.data_is_store[lo..hi]);
+        self.data_lines.extend_from_slice(&trace.data_lines[lo..hi]);
+        self.data_pages.extend_from_slice(&trace.data_pages[lo..hi]);
+        self.data_huge.extend_from_slice(&trace.data_huge[lo..hi]);
+        for class in &self.classes {
+            match class {
+                InsnClass::Branch => self.branches += 1,
+                InsnClass::Fp => self.fp_ops += 1,
+                InsnClass::Load => self.loads += 1,
+                InsnClass::Store => self.stores += 1,
+                InsnClass::Arith => {}
+            }
+        }
     }
 
     /// Empties the batch, retaining buffer capacity.
@@ -692,6 +725,30 @@ mod tests {
         // Generator states converged: the next events still agree.
         for _ in 0..100 {
             assert_eq!(per_event.next_event(), batched.next_event());
+        }
+    }
+
+    #[test]
+    fn chunks_copied_from_one_batch_match_chunked_fills() {
+        // The engine fills one batch with a whole window and drives copies
+        // of its chunks; each copy must equal the batch a chunked fill of
+        // the same events produces.
+        let mix = HugePageMix {
+            code_huge_fraction: 0.4,
+            data_huge_fraction: 0.7,
+        };
+        let chunks = [1usize, 7, 64, 13, 256, 659];
+        let total: usize = chunks.iter().sum();
+        let mut whole = EventBatch::with_capacity(total);
+        TraceGenerator::new(&spec(), mix, 21).fill_batch(&mut whole, total);
+        let mut chunked = TraceGenerator::new(&spec(), mix, 21);
+        let (mut filled, mut copied) = (EventBatch::default(), EventBatch::default());
+        let mut start = 0;
+        for n in chunks {
+            chunked.fill_batch(&mut filled, n);
+            copied.copy_chunk(&whole, start..start + n);
+            assert_eq!(copied, filled, "chunk at {start}");
+            start += n;
         }
     }
 

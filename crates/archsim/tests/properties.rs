@@ -9,6 +9,11 @@ use softsku_archsim::reuse::ReuseDistanceDist;
 use softsku_archsim::tlb::LruSet;
 use softsku_archsim::trace::StackMapper;
 
+/// Pre-warmed stack lengths for the `RankList` differential test: around
+/// the 64-slot bitmap words and the 512-entry hot buffer, and one deeper
+/// stack whose implicit run a test case pushes through compaction.
+const DESCENDING_LENS: [u64; 9] = [0, 1, 63, 64, 65, 511, 512, 513, 1000];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -127,6 +132,56 @@ proptest! {
             drained.push(v);
         }
         prop_assert_eq!(drained, values);
+    }
+
+    /// RankList is a `Vec` under any mix of push-front, remove-at-rank,
+    /// get and pop-back, starting empty (`new`), from an arbitrary
+    /// sequence (`with_sequence`) or from an implicit pre-warmed stack
+    /// (`descending`). Half the ranks are shallow, straddling the hot
+    /// buffer's 512-entry edge; the rest span the list, one past the end
+    /// included. The ops are push-heavy, so the backing front runs out of
+    /// headroom and compaction materialises the implicit values.
+    #[test]
+    fn ranklist_matches_vec_model_from_every_start(
+        start in 0usize..3,
+        len_idx in 0usize..DESCENDING_LENS.len(),
+        sequence in proptest::collection::vec(any::<u64>(), 0..700),
+        ops in proptest::collection::vec((0u8..10, any::<u32>(), any::<bool>()), 2000..3000),
+    ) {
+        let (mut list, mut model) = match start {
+            0 => (RankList::new(5), Vec::new()),
+            1 => (RankList::with_sequence(5, sequence.clone()), sequence),
+            _ => {
+                let n = DESCENDING_LENS[len_idx];
+                (RankList::descending(n), (0..n).rev().collect::<Vec<u64>>())
+            }
+        };
+        let mut next = 1u64 << 40;
+        for (kind, raw, shallow) in ops {
+            let len = model.len();
+            let rank = if shallow { raw as usize % 640 } else { raw as usize % (len + 1) };
+            match kind {
+                0..=5 => {
+                    list.push_front(next);
+                    model.insert(0, next);
+                    next += 1;
+                }
+                6 | 7 => {
+                    let expected = (rank < len).then(|| model.remove(rank));
+                    prop_assert_eq!(list.remove_at(rank), expected, "remove_at({})", rank);
+                }
+                8 => prop_assert_eq!(list.get(rank), model.get(rank).copied(), "get({})", rank),
+                _ => prop_assert_eq!(list.pop_back(), model.pop()),
+            }
+            prop_assert_eq!(list.len(), model.len());
+        }
+        prop_assert_eq!(list.to_vec(), model);
+    }
+
+    /// `descending(n)` holds `n-1, …, 0` for any `n`.
+    #[test]
+    fn ranklist_descending_is_the_reversed_range(n in 0u64..5000) {
+        prop_assert_eq!(RankList::descending(n).to_vec(), (0..n).rev().collect::<Vec<u64>>());
     }
 
     /// with_sequence builds exactly the given order for any input.

@@ -452,7 +452,7 @@ impl AbTester {
 
             // Converged-to-equality check: the CI on the relative difference
             // is narrower than the minimum effect we care about.
-            let (lo, hi) = w.diff_ci(&sb, &sa, self.config.confidence);
+            let (lo, hi) = w.diff_ci(&sb, &sa, self.config.confidence)?;
             let half_rel = ((hi - lo) / 2.0 / sa.mean()).abs();
             if half_rel < self.config.min_effect || n >= self.config.max_samples {
                 return Ok(AbTestResult {
@@ -538,6 +538,34 @@ mod tests {
             "clear effects need few samples: {}",
             r.samples
         );
+    }
+
+    #[test]
+    fn confidence_outside_the_unit_interval_is_a_typed_error() {
+        // Confidence 1.0 (or NaN) makes no result significant, so the test
+        // reaches the convergence CI; that used to panic in `t_quantile`.
+        for bad in [1.0, f64::NAN] {
+            let mut e = env(Microservice::Web, PlatformKind::Skylake18, 3);
+            let base = e.profile().production_config.clone();
+            let config = AbTestConfig {
+                confidence: bad,
+                ..AbTestConfig::fast_test()
+            };
+            let r = AbTester::new(config, PerformanceMetric::Mips).run(
+                &mut e,
+                &base,
+                KnobSetting::CoreFrequencyGhz(1.6),
+            );
+            assert!(
+                matches!(
+                    r,
+                    Err(UskuError::Stats(
+                        softsku_telemetry::TelemetryError::InvalidConfidence(_)
+                    ))
+                ),
+                "confidence {bad}: {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use softsku_cluster::{AbEnvironment, Arm, EnvConfig};
 use softsku_knobs::{Knob, KnobSetting, KnobSpace};
 use softsku_telemetry::streams::IdentitySeed;
 use softsku_telemetry::trace::{AttrValue, SpanHandle, TraceSink};
-use softsku_telemetry::{LedgerKey, Ods, SeriesKey};
+use softsku_telemetry::{LedgerKey, Ods, SeriesKey, TelemetryError};
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -387,6 +387,11 @@ where
 /// Wall-clock time is deliberately absent: spans are part of the
 /// deterministic view, and `wall_s` is telemetry-only by the workspace
 /// contract.
+///
+/// # Errors
+///
+/// [`TelemetryError::InvalidConfidence`] if `confidence` is not in
+/// `(0, 1)` and the span carries a Welch CI.
 pub fn trace_test_span(
     sink: &mut TraceSink,
     service: &str,
@@ -395,9 +400,9 @@ pub fn trace_test_span(
     seed: u64,
     start_s: f64,
     confidence: f64,
-) -> SpanHandle {
+) -> Result<SpanHandle, TelemetryError> {
     if !sink.is_enabled() {
-        return SpanHandle::NONE;
+        return Ok(SpanHandle::NONE);
     }
     let r = &run.result;
     let h = sink.open("abtest", &r.setting.to_string(), start_s);
@@ -413,7 +418,7 @@ pub fn trace_test_span(
         sink.attr(h, "p_value", AttrValue::F64(w.p_value));
         if let (Some(b), Some(c)) = (&r.baseline, &r.candidate) {
             if b.mean() != 0.0 {
-                let (lo, hi) = w.diff_ci(c, b, confidence);
+                let (lo, hi) = w.diff_ci(c, b, confidence)?;
                 sink.attr(h, "ci_lo", AttrValue::F64(lo / b.mean()));
                 sink.attr(h, "ci_hi", AttrValue::F64(hi / b.mean()));
             }
@@ -447,7 +452,7 @@ pub fn trace_test_span(
         }
     }
     sink.close(h, start_s + run.sim_time_s);
-    h
+    Ok(h)
 }
 
 /// Pre-evaluates the baseline load curve on the proto environment so every
@@ -897,7 +902,7 @@ impl FleetTuner {
                     fu.unit.seed,
                     cursor[fu.target_idx],
                     self.abtest.confidence,
-                );
+                )?;
                 cursor[fu.target_idx] += run.sim_time_s;
             }
             if let Some((t, h)) = open.take() {

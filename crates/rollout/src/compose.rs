@@ -498,7 +498,7 @@ impl SkuComposer {
                     unit.seed,
                     t,
                     self.tester.config().confidence,
-                );
+                )?;
                 t += run.sim_time_s;
             }
             sink.close(span, *cursor + sim_time_s);

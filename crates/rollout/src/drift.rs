@@ -430,7 +430,7 @@ impl DriftMonitor {
         // `mean_diff = candidate − baseline`; its CI rescaled by the
         // baseline mean is the relative-gain CI.
         let welch = welch_test(&c, &b);
-        let (_, hi) = welch.diff_ci(&c, &b, self.config.confidence);
+        let (_, hi) = welch.diff_ci(&c, &b, self.config.confidence)?;
         Ok(WindowGain {
             window,
             gain: c.mean() / b.mean() - 1.0,
@@ -555,6 +555,26 @@ mod tests {
             0,
             "no slo.retune point without a sustained burn"
         );
+    }
+
+    #[test]
+    fn window_gain_rejects_confidence_outside_the_unit_interval() {
+        let base: RunningStats = [100.0, 101.0, 99.5, 100.5].into_iter().collect();
+        let cand: RunningStats = [102.0, 103.0, 101.5, 102.5].into_iter().collect();
+        for bad in [1.0, f64::NAN] {
+            let mut cfg = DriftConfig::fast_test();
+            cfg.confidence = bad;
+            let r = DriftMonitor::new(cfg).window_gain(0, &base, &cand);
+            assert!(
+                matches!(
+                    r,
+                    Err(RolloutError::Telemetry(
+                        softsku_telemetry::TelemetryError::InvalidConfidence(_)
+                    ))
+                ),
+                "confidence {bad}: {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! machines — so the pooled-variance Student test would be wrong. Welch's
 //! test with the Welch–Satterthwaite degrees of freedom is the standard fix.
 
+use crate::error::TelemetryError;
 use crate::stats::student_t::{t_cdf, t_quantile};
 use crate::stats::Summary;
 
@@ -29,14 +30,27 @@ impl WelchResult {
     }
 
     /// Two-sided confidence interval on the difference of means.
-    pub fn diff_ci(&self, a: &Summary, b: &Summary, confidence: f64) -> (f64, f64) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TelemetryError::InvalidConfidence`] if `confidence` is not in
+    /// `(0, 1)`.
+    pub fn diff_ci(
+        &self,
+        a: &Summary,
+        b: &Summary,
+        confidence: f64,
+    ) -> Result<(f64, f64), TelemetryError> {
+        if !(confidence > 0.0 && confidence < 1.0) {
+            return Err(TelemetryError::InvalidConfidence(confidence));
+        }
         let se = pooled_se(a, b);
         if se == 0.0 || self.degrees_of_freedom <= 0.0 {
-            return (self.mean_diff, self.mean_diff);
+            return Ok((self.mean_diff, self.mean_diff));
         }
         let alpha = 1.0 - confidence;
         let t = t_quantile(1.0 - alpha / 2.0, self.degrees_of_freedom);
-        (self.mean_diff - t * se, self.mean_diff + t * se)
+        Ok((self.mean_diff - t * se, self.mean_diff + t * se))
     }
 }
 
@@ -181,8 +195,24 @@ mod tests {
         let a = Summary::from_samples(&noisy(100.0, 300, 2.0)).unwrap();
         let b = Summary::from_samples(&noisy(102.0, 300, 2.0)).unwrap();
         let r = welch_test(&a, &b);
-        let (lo, hi) = r.diff_ci(&a, &b, 0.95);
+        let (lo, hi) = r.diff_ci(&a, &b, 0.95).unwrap();
         assert!(lo <= -2.0 && -2.0 <= hi || (lo + 2.0).abs() < 0.5);
         assert!(lo < hi);
+    }
+
+    #[test]
+    fn diff_ci_rejects_confidence_outside_the_unit_interval() {
+        let a = Summary::from_samples(&noisy(100.0, 300, 2.0)).unwrap();
+        let b = Summary::from_samples(&noisy(102.0, 300, 2.0)).unwrap();
+        let r = welch_test(&a, &b);
+        for bad in [0.0, 1.0, -0.5, 1.5, f64::NAN] {
+            assert!(
+                matches!(r.diff_ci(&a, &b, bad), Err(TelemetryError::InvalidConfidence(c)) if c.to_bits() == bad.to_bits()),
+                "confidence {bad}"
+            );
+        }
+        // Degenerate arms are checked too, before the zero-width shortcut.
+        let flat = Summary::from_samples(&[5.0, 5.0, 5.0]).unwrap();
+        assert!(welch_test(&flat, &flat).diff_ci(&flat, &flat, 1.0).is_err());
     }
 }

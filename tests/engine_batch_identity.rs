@@ -15,10 +15,13 @@
 //!    report a single-load `run_window` computes, whatever the batch size,
 //!    memo state, duplicates, clamping, per-load flush points, or mix of
 //!    memo hits and freshly evaluated loads.
+//! 5. A trace shared through the trace memo — by every knob setting with
+//!    the same seed and page mix, and by threads racing to publish it —
+//!    drives the same reports as a freshly generated one.
 
 use proptest::prelude::*;
-use softsku::archsim::engine::{Engine, WindowReport};
-use softsku::archsim::StreamSpec;
+use softsku::archsim::engine::{Engine, ServerConfig, WindowReport};
+use softsku::archsim::{CdpPartition, StreamSpec, ThpMode};
 use softsku::cluster::{AbEnvironment, EnvConfig};
 use softsku::workloads::{Microservice, PlatformKind};
 
@@ -243,5 +246,77 @@ fn fork_of_warmed_env_matches_fork_of_cold_env() {
             ),
             "fork draw sequences diverged at step {step}"
         );
+    }
+}
+
+/// The trace memo on vs. off over a frequency × CDP × THP sweep that shares
+/// one seed: the frequency and CDP settings of each THP mode replay one
+/// memoised trace. The sweep runs once on one thread and once split across
+/// two threads that start on the same trace, so they race to generate and
+/// publish it. Every `run_loads` report matches its memo-off evaluation,
+/// signature for signature.
+#[test]
+fn shared_traces_match_fresh_generation_across_threads() {
+    const WINDOW: u64 = 20_000;
+    let loads = [0.5, 1.0];
+    let profile = Microservice::Web.profile(PlatformKind::Skylake18).unwrap();
+    let stock = profile.stock_config.clone();
+    let (slow, fast) = stock.platform.core_freq_range_ghz;
+    let ways = stock.llc_ways_enabled;
+    // THP outermost, so consecutive configs share a trace.
+    let mut sweep = Vec::new();
+    for thp in [ThpMode::AlwaysOn, ThpMode::NeverOn] {
+        for core_freq_ghz in [slow, fast] {
+            for cdp in [
+                None,
+                Some(CdpPartition {
+                    data_ways: ways - 3,
+                    code_ways: 3,
+                }),
+            ] {
+                sweep.push(ServerConfig {
+                    thp,
+                    core_freq_ghz,
+                    cdp,
+                    ..stock.clone()
+                });
+            }
+        }
+    }
+    let run = |config: &ServerConfig, seed: u64, memo: bool| -> Vec<Vec<u64>> {
+        Engine::new(config.clone(), profile.stream.clone(), seed)
+            .unwrap()
+            .with_memo(memo)
+            .run_loads(WINDOW, &loads)
+            .unwrap()
+            .iter()
+            .map(signature)
+            .collect()
+    };
+    // A fresh seed per sweep, so the second sweep misses the trace memo
+    // again instead of reading the first sweep's reports.
+    for (seed, threads) in [(0x7ACE_0001, 1), (0x7ACE_0002, 2)] {
+        let fresh: Vec<_> = sweep.iter().map(|c| run(c, seed, false)).collect();
+        let mut shared: Vec<(usize, Vec<Vec<u64>>)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let run = &run;
+                    let sweep = &sweep;
+                    s.spawn(move || {
+                        (t..sweep.len())
+                            .step_by(threads)
+                            .map(|i| (i, run(&sweep[i], seed, true)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        shared.sort_by_key(|(i, _)| *i);
+        let shared: Vec<_> = shared.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(shared, fresh, "{threads}-thread sweep");
     }
 }
