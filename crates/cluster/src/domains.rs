@@ -16,6 +16,7 @@
 //! `(topology, config, seed)` triple always yields the same campaign and
 //! disabling one family never perturbs another's timeline.
 
+use crate::hazards::clamp_or_zero;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softsku_telemetry::streams::{StreamFamily, StreamRegistry};
@@ -241,15 +242,15 @@ impl ChaosConfig {
             || self.stall_rate_per_day > 0.0
     }
 
-    /// Clamps every field into its sane range.
+    /// Clamps every field into its sane range, NaN to the inert 0.
     fn validated(self) -> Self {
         ChaosConfig {
             brownout_rate_per_day: self.brownout_rate_per_day.max(0.0),
             brownout_duration_s: self.brownout_duration_s.max(0.0),
-            brownout_depth: self.brownout_depth.clamp(0.0, 1.0),
-            blackout_prob: self.blackout_prob.clamp(0.0, 1.0),
+            brownout_depth: clamp_or_zero(self.brownout_depth, 1.0),
+            blackout_prob: clamp_or_zero(self.blackout_prob, 1.0),
             push_wave_rate_per_day: self.push_wave_rate_per_day.max(0.0),
-            push_wave_erosion: self.push_wave_erosion.clamp(0.0, 1.0),
+            push_wave_erosion: clamp_or_zero(self.push_wave_erosion, 1.0),
             canary_crash_rate_per_day: self.canary_crash_rate_per_day.max(0.0),
             canary_crash_outage_s: self.canary_crash_outage_s.max(0.0),
             canary_crash_replicas: self.canary_crash_replicas,
@@ -651,6 +652,33 @@ mod tests {
             }
             assert!(t < 30.0 * 86_400.0, "a brownout must arrive eventually");
         }
+    }
+
+    #[test]
+    fn nan_depths_and_probabilities_are_inert() {
+        let cfg = ChaosConfig {
+            brownout_rate_per_day: 8.0,
+            brownout_duration_s: 3_600.0,
+            brownout_depth: f64::NAN,
+            blackout_prob: f64::NAN,
+            push_wave_rate_per_day: 8.0,
+            push_wave_erosion: f64::NAN,
+            ..ChaosConfig::none()
+        };
+        let mut s = ChaosSchedule::new(&topo(), cfg, 5);
+        let mut events = 0;
+        for i in 1..=1_000 {
+            let t = i as f64 * 600.0;
+            for e in s.tick(t) {
+                assert_eq!(e.magnitude(), 0.0, "{e:?}");
+                events += 1;
+            }
+            for pool in 0..2 {
+                assert_eq!(s.load_multiplier(pool, t), 1.0);
+                assert!(!s.pool_dark(pool, t));
+            }
+        }
+        assert!(events > 0, "the rates still fire");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use softsku_archsim::engine::ServerConfig;
 use softsku_telemetry::emon::{EventSample, EventSet, MultiplexedSampler, SamplerConfig};
 use softsku_telemetry::streams::{StreamFamily, StreamRegistry};
-use softsku_telemetry::{Ods, SeriesKey};
+use softsku_telemetry::{SeriesKey, TieredOds};
 use softsku_workloads::loadgen::{CodeEvolution, LoadGenerator};
 use softsku_workloads::WorkloadProfile;
 
@@ -117,7 +117,7 @@ pub struct AbEnvironment {
     /// Injected-hazard timeline (inert when the config disables hazards).
     hazards: HazardSchedule,
     /// ODS series of injected hazards and consumer-reported recoveries.
-    ods: Ods,
+    ods: TieredOds,
     /// Common load of the most recent sample, spikes included (for
     /// guardrail QoS checks between samples).
     last_load: f64,
@@ -217,7 +217,7 @@ impl AbEnvironment {
             sampler_a,
             sampler_b,
             hazards: HazardSchedule::new(config.hazards, streams.derive(StreamFamily::EnvHazards)),
-            ods: Ods::new(),
+            ods: TieredOds::unbounded(),
             last_load: 1.0,
         }
     }
@@ -430,7 +430,7 @@ impl AbEnvironment {
     }
 
     /// The injected-hazard/recovery telemetry recorded so far.
-    pub fn telemetry(&self) -> &Ods {
+    pub fn telemetry(&self) -> &TieredOds {
         &self.ods
     }
 

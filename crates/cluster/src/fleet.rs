@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softsku_archsim::engine::ServerConfig;
 use softsku_telemetry::streams::{StreamFamily, StreamRegistry};
-use softsku_telemetry::{Ods, SeriesKey};
+use softsku_telemetry::{SeriesKey, TieredOds};
 use softsku_workloads::loadgen::{CodeEvolution, LoadGenerator};
 use softsku_workloads::WorkloadProfile;
 
@@ -48,7 +48,7 @@ pub struct ValidationFleet {
     candidate: SimServer,
     load: LoadGenerator,
     evolution: CodeEvolution,
-    ods: Ods,
+    ods: TieredOds,
     time_s: f64,
     tick_s: f64,
 }
@@ -90,7 +90,7 @@ impl ValidationFleet {
                 streams.derive(StreamFamily::FleetLoad),
             ),
             evolution: CodeEvolution::new(0.25, 0.01, streams.derive(StreamFamily::FleetCodePush)),
-            ods: Ods::new(),
+            ods: TieredOds::unbounded(),
             time_s: 0.0,
             tick_s: tick_s.max(1.0),
         })
@@ -166,7 +166,7 @@ impl ValidationFleet {
     }
 
     /// Read access to the collected ODS series.
-    pub fn ods(&self) -> &Ods {
+    pub fn ods(&self) -> &TieredOds {
         &self.ods
     }
 }

@@ -97,19 +97,20 @@ impl HazardConfig {
             || self.knob_failure_prob > 0.0
     }
 
-    /// Clamps every field into its sane range. Probabilities are capped at
-    /// 0.9 so bounded-retry consumers always have a path to success.
+    /// Clamps every field into its sane range, NaN to the inert 0.
+    /// Probabilities are capped at 0.9 so bounded-retry consumers always
+    /// have a path to success.
     fn validated(self) -> Self {
         HazardConfig {
             crash_rate_per_hour: self.crash_rate_per_hour.max(0.0),
             crash_outage_s: self.crash_outage_s.max(0.0),
-            dropout_prob: self.dropout_prob.clamp(0.0, 0.9),
-            outlier_prob: self.outlier_prob.clamp(0.0, 0.9),
-            outlier_magnitude: self.outlier_magnitude.clamp(0.0, 10.0),
+            dropout_prob: clamp_or_zero(self.dropout_prob, 0.9),
+            outlier_prob: clamp_or_zero(self.outlier_prob, 0.9),
+            outlier_magnitude: clamp_or_zero(self.outlier_magnitude, 10.0),
             spike_rate_per_hour: self.spike_rate_per_hour.max(0.0),
             spike_duration_s: self.spike_duration_s.max(0.0),
-            spike_magnitude: self.spike_magnitude.clamp(0.0, 2.0),
-            knob_failure_prob: self.knob_failure_prob.clamp(0.0, 0.9),
+            spike_magnitude: clamp_or_zero(self.spike_magnitude, 2.0),
+            knob_failure_prob: clamp_or_zero(self.knob_failure_prob, 0.9),
         }
     }
 }
@@ -364,6 +365,16 @@ impl HazardSchedule {
     }
 }
 
+/// `x.clamp(0.0, hi)`, except that NaN maps to the inert 0.0 (as it does
+/// through `max(0.0)`) instead of passing through `clamp`.
+pub(crate) fn clamp_or_zero(x: f64, hi: f64) -> f64 {
+    if x.is_nan() {
+        0.0
+    } else {
+        x.clamp(0.0, hi)
+    }
+}
+
 /// Exponential inter-arrival gap for a Poisson process at `rate_per_hour`,
 /// or infinity when the process is disabled.
 fn sample_gap(rng: &mut SmallRng, rate_per_hour: f64) -> f64 {
@@ -399,6 +410,39 @@ mod tests {
         assert!(!s.knob_failure());
         assert!(!HazardConfig::none().is_active());
         assert!(HazardConfig::moderate().is_active());
+    }
+
+    #[test]
+    fn nan_magnitudes_and_probabilities_are_inert() {
+        let cfg = HazardConfig {
+            dropout_prob: f64::NAN,
+            outlier_prob: 0.5,
+            outlier_magnitude: f64::NAN,
+            spike_rate_per_hour: 4.0,
+            spike_duration_s: 600.0,
+            spike_magnitude: f64::NAN,
+            knob_failure_prob: f64::NAN,
+            ..HazardConfig::none()
+        };
+        let mut s = HazardSchedule::new(cfg, 3);
+        let mut spikes = 0;
+        let mut corrupted = 0;
+        for i in 1..=2_000 {
+            let tick = s.tick(i as f64 * 30.0);
+            assert_eq!(tick.load_multiplier, 1.0, "a NaN spike adds nothing");
+            assert!(!tick.dropped);
+            if let Some((until, magnitude)) = tick.spike_started {
+                assert!(until.is_finite());
+                assert_eq!(magnitude, 0.0);
+                spikes += 1;
+            }
+            if let Some((_, factor)) = tick.corrupt {
+                assert_eq!(factor, 1.0, "a NaN outlier corrupts nothing");
+                corrupted += 1;
+            }
+        }
+        assert!(spikes > 0 && corrupted > 0, "the rates still fire");
+        assert!(!s.knob_failure());
     }
 
     #[test]

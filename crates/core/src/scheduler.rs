@@ -36,7 +36,7 @@ use softsku_cluster::{AbEnvironment, Arm, EnvConfig};
 use softsku_knobs::{Knob, KnobSetting, KnobSpace};
 use softsku_telemetry::streams::IdentitySeed;
 use softsku_telemetry::trace::{AttrValue, SpanHandle, TraceSink};
-use softsku_telemetry::{LedgerKey, Ods, SeriesKey, TelemetryError};
+use softsku_telemetry::{LedgerKey, SeriesKey, TelemetryError, TieredOds};
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -633,7 +633,7 @@ pub struct FleetOutcome {
     /// ODS-style per-service counters: series
     /// `<service>@<platform>/tune.wall_s` and `tune.sim_s` carry one point
     /// per test (indexed by canonical plan position).
-    pub ods: Ods,
+    pub ods: TieredOds,
     /// End-to-end wall-clock of the whole campaign, seconds.
     pub wall_s: f64,
 }
@@ -838,7 +838,7 @@ impl FleetTuner {
 
         // Reassemble per target in canonical order and lay down the ODS
         // tuning counters (one point per test, indexed by plan position).
-        let mut ods = Ods::new();
+        let mut ods = TieredOds::unbounded();
         let mut maps: Vec<DesignSpaceMap> =
             (0..prepared.len()).map(|_| DesignSpaceMap::new()).collect();
         let mut sim_time: Vec<f64> = vec![0.0; prepared.len()];

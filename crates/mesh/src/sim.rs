@@ -38,9 +38,9 @@ use rand::{Rng, SeedableRng};
 use softsku_archsim::engine::ServerConfig;
 use softsku_cluster::SimServer;
 use softsku_telemetry::keys::LedgerKey;
-use softsku_telemetry::ods::{Ods, SeriesKey};
 use softsku_telemetry::streams::{IdentitySeed, StreamFamily, StreamRegistry};
 use softsku_telemetry::trace::{AttrValue, TraceSink};
+use softsku_telemetry::{SeriesKey, TieredOds};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -189,7 +189,7 @@ impl MeshReport {
     /// # Errors
     ///
     /// [`MeshError::Telemetry`] when `t` is not monotone for a series.
-    pub fn record(&self, ods: &mut Ods, t: f64) -> Result<(), MeshError> {
+    pub fn record(&self, ods: &mut TieredOds, t: f64) -> Result<(), MeshError> {
         ods.append(
             &SeriesKey::keyed(&self.graph, LedgerKey::MeshCompleted),
             t,
@@ -877,7 +877,7 @@ mod tests {
         assert_eq!(hop_spans as u64, total_jobs);
         assert!(sink.chrome_trace().render().contains("traceEvents"));
 
-        let mut ods = Ods::new();
+        let mut ods = TieredOds::unbounded();
         report.record(&mut ods, 0.0).unwrap();
         let _ = Microservice::Web;
     }

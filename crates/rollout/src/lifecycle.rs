@@ -20,7 +20,7 @@ use softsku_cluster::{AbEnvironment, EnvConfig, StagedFleet, StagedFleetConfig};
 use softsku_knobs::Knob;
 use softsku_telemetry::streams::IdentitySeed;
 use softsku_telemetry::trace::{AttrValue, TraceSink};
-use softsku_telemetry::{Ods, TieredOds};
+use softsku_telemetry::TieredOds;
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
 use usku::abtest::AbTestConfig;
@@ -116,7 +116,7 @@ pub struct LifecycleReport {
     /// Per-campaign tuning telemetry (`tune.wall_s`/`tune.sim_s` series),
     /// one ledger per tuning campaign in run order — separate ledgers
     /// because each campaign restarts its plan-indexed time axis.
-    pub tuning: Vec<Ods>,
+    pub tuning: Vec<TieredOds>,
     /// The `rollout.*` transition ledger, one continuous fleet-time axis,
     /// stored with tiered retention ([`TieredOds::rollout_ledger`]) so a
     /// long-lived fleet runs on bounded memory.
@@ -452,7 +452,7 @@ impl RolloutPipeline {
         knobs: &[Knob],
         base_seed: u64,
         sink: &mut TraceSink,
-    ) -> Result<(DesignSpaceMap, Ods), RolloutError> {
+    ) -> Result<(DesignSpaceMap, TieredOds), RolloutError> {
         let cfg = &self.config;
         let tuner = FleetTuner::new(cfg.abtest, cfg.env, base_seed)
             .with_workers(cfg.workers)

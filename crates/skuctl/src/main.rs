@@ -340,7 +340,7 @@ fn cmd_mesh(args: &Args) -> Result<(), BoxError> {
     // Record the winning run into the ODS ledger and read the mesh.*
     // domain back — the rendering below is driven entirely by what the
     // ledger holds, never by hard-coded key spellings.
-    let mut ods = softsku_telemetry::ods::Ods::new();
+    let mut ods = softsku_telemetry::TieredOds::unbounded();
     joint.report.record(&mut ods, 0.0)?;
     println!("\nmesh.* ledger:");
     let keys: Vec<_> = ods.keys().cloned().collect();

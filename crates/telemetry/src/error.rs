@@ -30,6 +30,8 @@ pub enum TelemetryError {
         /// Offending (earlier) timestamp.
         offered: f64,
     },
+    /// A time-series append offered a NaN or infinite timestamp.
+    NonFiniteTimestamp(f64),
     /// A query referenced a series that does not exist.
     UnknownSeries(String),
     /// A query window was empty or inverted.
@@ -59,6 +61,7 @@ impl fmt::Display for TelemetryError {
             TelemetryError::NonMonotonicTimestamp { last, offered } => {
                 write!(f, "timestamp {offered} precedes last stored point {last}")
             }
+            TelemetryError::NonFiniteTimestamp(t) => write!(f, "timestamp {t} is not finite"),
             TelemetryError::UnknownSeries(name) => write!(f, "unknown series {name:?}"),
             TelemetryError::EmptyWindow { start, end } => {
                 write!(f, "empty or inverted query window [{start}, {end})")
@@ -90,6 +93,7 @@ mod tests {
                 last: 5.0,
                 offered: 1.0,
             },
+            TelemetryError::NonFiniteTimestamp(f64::NAN),
             TelemetryError::UnknownSeries("web.qps".into()),
             TelemetryError::EmptyWindow {
                 start: 2.0,

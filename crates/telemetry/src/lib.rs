@@ -7,8 +7,9 @@
 //!   slots ([`emon`] reproduces the sampling/multiplexing behaviour, noise
 //!   included).
 //! * **ODS** — Facebook's Operational Data Store, a fleet-wide time-series
-//!   system used for long-horizon QPS validation ([`ods`] reproduces the
-//!   append/query/downsample surface the experiments need).
+//!   system used for long-horizon QPS validation ([`ods`] names its series
+//!   and points; [`TieredOds`] is the one store, with append/range/mean
+//!   queries and raw → downsampled retention tiers).
 //!
 //! µSKU's A/B tester decides significance with 95 % confidence intervals over
 //! tens of thousands of counter samples; the [`stats`] module provides the
@@ -65,7 +66,7 @@ pub use emon::{EventSet, MultiplexedSampler, SamplerConfig};
 pub use error::TelemetryError;
 pub use json::Json;
 pub use keys::{KeyKind, LedgerDomain, LedgerKey};
-pub use ods::{Ods, SeriesKey};
+pub use ods::SeriesKey;
 pub use slo::{Exemplar, SloEvaluator, SloSpec, SloStatus};
 pub use stats::{nearest_rank, welch_test, QuantileSketch, RunningStats, Summary, WelchResult};
 pub use streams::{stream_seed, IdentitySeed, StreamFamily, StreamRegistry};

@@ -1,15 +1,11 @@
-//! ODS-like time-series store.
+//! Series keys and points of the ODS-like time-series store.
 //!
 //! Facebook's Operational Data Store (ODS) retrieves, processes, and
 //! visualizes sampling data from every machine in the data center (paper
 //! Sec. 2.2); µSKU uses it to validate that a deployed soft SKU's QPS win is
 //! stable "for prolonged durations (including across code updates and under
-//! diurnal load)" (Sec. 4). [`Ods`] reproduces the slice of that system the
-//! experiments need: monotone appends per series, windowed aggregation,
-//! percentile queries, and bucketed downsampling.
-
-use crate::error::TelemetryError;
-use std::collections::BTreeMap;
+//! diurnal load)" (Sec. 4). The store itself is
+//! [`TieredOds`](crate::TieredOds); this module names what it stores.
 
 /// Identifies one time series: an entity (host, tier) and a metric name.
 ///
@@ -71,374 +67,3 @@ impl std::fmt::Display for SeriesKey {
 
 /// A single stored observation.
 pub type Point = (f64, f64); // (timestamp, value)
-
-/// In-memory time-series store with per-series monotone timestamps.
-///
-/// # Example
-///
-/// ```
-/// use softsku_telemetry::{Ods, SeriesKey};
-///
-/// let mut ods = Ods::new();
-/// let key = SeriesKey::new("ads1.host7", "mips");
-/// for t in 0..60 {
-///     ods.append(&key, t as f64, 31_000.0 + t as f64).unwrap();
-/// }
-/// let mean = ods.mean_in(&key, 0.0, 60.0).unwrap();
-/// assert!(mean > 31_000.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Ods {
-    series: BTreeMap<SeriesKey, Vec<Point>>,
-    retention: Option<f64>,
-}
-
-impl Ods {
-    /// Creates an empty store with unlimited retention.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a store that discards points older than `window` (relative to
-    /// the newest point of each series) on every append. A point at exactly
-    /// `newest − window` is still retained. Negative or NaN windows are
-    /// clamped to zero (keep only the newest timestamp cohort) so an append
-    /// can never evict the point it just stored.
-    pub fn with_retention(window: f64) -> Self {
-        Ods {
-            series: BTreeMap::new(),
-            // f64::max treats NaN as "the other operand", so this clamps
-            // both negative and NaN windows in one step.
-            retention: Some(window.max(0.0)),
-        }
-    }
-
-    /// Appends one observation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TelemetryError::NonMonotonicTimestamp`] when `t` precedes the
-    /// newest stored timestamp of the series.
-    pub fn append(&mut self, key: &SeriesKey, t: f64, value: f64) -> Result<(), TelemetryError> {
-        let points = self.series.entry(key.clone()).or_default();
-        if let Some(&(last, _)) = points.last() {
-            if t < last {
-                return Err(TelemetryError::NonMonotonicTimestamp { last, offered: t });
-            }
-        }
-        points.push((t, value));
-        if let Some(window) = self.retention {
-            let horizon = t - window;
-            let keep_from = points.partition_point(|&(pt, _)| pt < horizon);
-            if keep_from > 0 {
-                points.drain(..keep_from);
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of stored series.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
-    /// Iterates over all series keys in sorted order.
-    pub fn keys(&self) -> impl Iterator<Item = &SeriesKey> {
-        self.series.keys()
-    }
-
-    /// Number of points stored for `key` (zero if the series is unknown).
-    pub fn len(&self, key: &SeriesKey) -> usize {
-        self.series.get(key).map_or(0, Vec::len)
-    }
-
-    /// True when the store holds no series at all.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
-    /// The most recent point of a series.
-    ///
-    /// # Errors
-    ///
-    /// [`TelemetryError::UnknownSeries`] when the series does not exist or is
-    /// empty.
-    pub fn last(&self, key: &SeriesKey) -> Result<Point, TelemetryError> {
-        self.series
-            .get(key)
-            .and_then(|p| p.last().copied())
-            .ok_or_else(|| TelemetryError::UnknownSeries(key.to_string()))
-    }
-
-    /// The points of `key` with timestamps in `[start, end)`.
-    ///
-    /// A zero-width window (`start == end`) is a valid query returning an
-    /// empty slice — callers polling a live series between flushes hit this
-    /// constantly and must not have to special-case it.
-    ///
-    /// # Errors
-    ///
-    /// * [`TelemetryError::UnknownSeries`] for a missing series.
-    /// * [`TelemetryError::EmptyWindow`] for an inverted (`end < start`) or
-    ///   NaN-bounded window. Infinite bounds are fine ("whole series").
-    pub fn range(&self, key: &SeriesKey, start: f64, end: f64) -> Result<&[Point], TelemetryError> {
-        // NaN makes `end < start` false, so check it explicitly: a NaN bound
-        // is a caller bug and must not masquerade as an empty result.
-        if end < start || start.is_nan() || end.is_nan() {
-            return Err(TelemetryError::EmptyWindow { start, end });
-        }
-        let points = self
-            .series
-            .get(key)
-            .ok_or_else(|| TelemetryError::UnknownSeries(key.to_string()))?;
-        let lo = points.partition_point(|&(t, _)| t < start);
-        let hi = points.partition_point(|&(t, _)| t < end);
-        Ok(&points[lo..hi])
-    }
-
-    /// Mean of values in `[start, end)`.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`Ods::range`], plus [`TelemetryError::EmptySamples`] when no
-    /// points fall in the window.
-    pub fn mean_in(&self, key: &SeriesKey, start: f64, end: f64) -> Result<f64, TelemetryError> {
-        let pts = self.range(key, start, end)?;
-        if pts.is_empty() {
-            return Err(TelemetryError::EmptySamples);
-        }
-        Ok(pts.iter().map(|&(_, v)| v).sum::<f64>() / pts.len() as f64)
-    }
-
-    /// Nearest-rank percentile (`q` in `[0, 1]`) of values in `[start, end)`.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`Ods::range`], plus [`TelemetryError::InvalidQuantile`] and
-    /// [`TelemetryError::EmptySamples`].
-    pub fn percentile_in(
-        &self,
-        key: &SeriesKey,
-        start: f64,
-        end: f64,
-        q: f64,
-    ) -> Result<f64, TelemetryError> {
-        if !(0.0..=1.0).contains(&q) {
-            return Err(TelemetryError::InvalidQuantile(q));
-        }
-        let pts = self.range(key, start, end)?;
-        if pts.is_empty() {
-            return Err(TelemetryError::EmptySamples);
-        }
-        let mut values: Vec<f64> = pts.iter().map(|&(_, v)| v).collect();
-        values.sort_by(|a, b| a.partial_cmp(b).expect("stored values are finite"));
-        let idx = ((values.len() as f64 - 1.0) * q).round() as usize;
-        Ok(values[idx])
-    }
-
-    /// Downsamples a series into buckets of width `bucket`, returning one
-    /// `(bucket_start, mean)` pair per non-empty bucket.
-    ///
-    /// # Errors
-    ///
-    /// * [`TelemetryError::UnknownSeries`] for a missing series.
-    /// * [`TelemetryError::InvalidSamplerConfig`] for a non-positive bucket.
-    pub fn downsample(&self, key: &SeriesKey, bucket: f64) -> Result<Vec<Point>, TelemetryError> {
-        if bucket.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(TelemetryError::InvalidSamplerConfig(format!(
-                "bucket width must be positive, got {bucket}"
-            )));
-        }
-        let points = self
-            .series
-            .get(key)
-            .ok_or_else(|| TelemetryError::UnknownSeries(key.to_string()))?;
-        let mut out: Vec<Point> = Vec::new();
-        let mut cur_bucket = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for &(t, v) in points {
-            let b = (t / bucket).floor() * bucket;
-            if b != cur_bucket {
-                if n > 0 {
-                    out.push((cur_bucket, sum / n as f64));
-                }
-                cur_bucket = b;
-                sum = 0.0;
-                n = 0;
-            }
-            sum += v;
-            n += 1;
-        }
-        if n > 0 {
-            out.push((cur_bucket, sum / n as f64));
-        }
-        Ok(out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn filled() -> (Ods, SeriesKey) {
-        let mut ods = Ods::new();
-        let key = SeriesKey::new("web.host1", "mips");
-        for i in 0..100 {
-            ods.append(&key, i as f64, (i % 10) as f64).unwrap();
-        }
-        (ods, key)
-    }
-
-    #[test]
-    fn append_and_query_roundtrip() {
-        let (ods, key) = filled();
-        assert_eq!(ods.len(&key), 100);
-        assert_eq!(ods.last(&key).unwrap(), (99.0, 9.0));
-        let pts = ods.range(&key, 10.0, 20.0).unwrap();
-        assert_eq!(pts.len(), 10);
-        assert_eq!(pts[0], (10.0, 0.0));
-    }
-
-    #[test]
-    fn rejects_time_travel() {
-        let (mut ods, key) = filled();
-        let err = ods.append(&key, 5.0, 1.0).unwrap_err();
-        assert!(matches!(err, TelemetryError::NonMonotonicTimestamp { .. }));
-        // Equal timestamps are allowed (multiple hosts flushing together).
-        ods.append(&key, 99.0, 2.0).unwrap();
-    }
-
-    #[test]
-    fn mean_and_percentiles() {
-        let (ods, key) = filled();
-        let mean = ods.mean_in(&key, 0.0, 100.0).unwrap();
-        assert!((mean - 4.5).abs() < 1e-12);
-        let p50 = ods.percentile_in(&key, 0.0, 100.0, 0.5).unwrap();
-        assert!((4.0..=5.0).contains(&p50));
-        let p100 = ods.percentile_in(&key, 0.0, 100.0, 1.0).unwrap();
-        assert_eq!(p100, 9.0);
-        let p0 = ods.percentile_in(&key, 0.0, 100.0, 0.0).unwrap();
-        assert_eq!(p0, 0.0);
-    }
-
-    #[test]
-    fn window_errors() {
-        let (ods, key) = filled();
-        assert!(matches!(
-            ods.range(&key, 6.0, 5.0),
-            Err(TelemetryError::EmptyWindow { .. })
-        ));
-        assert!(matches!(
-            ods.range(&key, f64::NAN, 5.0),
-            Err(TelemetryError::EmptyWindow { .. })
-        ));
-        assert!(matches!(
-            ods.range(&key, 0.0, f64::NAN),
-            Err(TelemetryError::EmptyWindow { .. })
-        ));
-        let missing = SeriesKey::new("nope", "mips");
-        assert!(matches!(
-            ods.range(&missing, 0.0, 1.0),
-            Err(TelemetryError::UnknownSeries(_))
-        ));
-        assert!(matches!(
-            ods.percentile_in(&key, 0.0, 1.0, 1.5),
-            Err(TelemetryError::InvalidQuantile(_))
-        ));
-    }
-
-    #[test]
-    fn zero_width_and_out_of_band_windows_are_empty_not_errors() {
-        let (ods, key) = filled();
-        // Zero width: valid query, nothing in it.
-        assert_eq!(ods.range(&key, 5.0, 5.0).unwrap(), &[]);
-        // Entirely before / after the data: empty, not an error.
-        assert_eq!(ods.range(&key, -10.0, -1.0).unwrap(), &[]);
-        assert_eq!(ods.range(&key, 200.0, 300.0).unwrap(), &[]);
-        // Infinite bounds select the whole series.
-        assert_eq!(
-            ods.range(&key, f64::NEG_INFINITY, f64::INFINITY)
-                .unwrap()
-                .len(),
-            100
-        );
-        // Aggregates over an empty-but-valid window degrade to EmptySamples.
-        assert!(matches!(
-            ods.mean_in(&key, 5.0, 5.0),
-            Err(TelemetryError::EmptySamples)
-        ));
-        assert!(matches!(
-            ods.percentile_in(&key, 5.0, 5.0, 0.5),
-            Err(TelemetryError::EmptySamples)
-        ));
-    }
-
-    #[test]
-    fn downsample_means_buckets() {
-        let (ods, key) = filled();
-        let ds = ods.downsample(&key, 10.0).unwrap();
-        assert_eq!(ds.len(), 10);
-        for &(start, mean) in &ds {
-            assert_eq!(start % 10.0, 0.0);
-            assert!((mean - 4.5).abs() < 1e-12);
-        }
-        assert!(ods.downsample(&key, 0.0).is_err());
-    }
-
-    #[test]
-    fn retention_trims_old_points() {
-        let mut ods = Ods::with_retention(10.0);
-        let key = SeriesKey::new("cache1.host9", "qps");
-        for i in 0..100 {
-            ods.append(&key, i as f64, 1.0).unwrap();
-        }
-        assert!(ods.len(&key) <= 12, "retention must bound the series");
-        let oldest = ods.range(&key, 0.0, 1e9).unwrap()[0].0;
-        assert!(oldest >= 89.0);
-    }
-
-    #[test]
-    fn retention_keeps_the_boundary_point() {
-        let mut ods = Ods::with_retention(10.0);
-        let key = SeriesKey::new("web.host1", "qps");
-        ods.append(&key, 0.0, 1.0).unwrap();
-        ods.append(&key, 5.0, 2.0).unwrap();
-        // Newest = 10.0; the point at exactly 10.0 − 10.0 = 0.0 survives.
-        ods.append(&key, 10.0, 3.0).unwrap();
-        assert_eq!(ods.len(&key), 3);
-        // One hair past the window and it goes.
-        ods.append(&key, 10.0 + 1e-9, 4.0).unwrap();
-        assert_eq!(ods.range(&key, 0.0, 1e9).unwrap()[0].0, 5.0);
-    }
-
-    #[test]
-    fn degenerate_retention_windows_never_eat_the_new_point() {
-        for window in [-5.0, f64::NAN, 0.0] {
-            let mut ods = Ods::with_retention(window);
-            let key = SeriesKey::new("web.host1", "qps");
-            ods.append(&key, 1.0, 1.0).unwrap();
-            ods.append(&key, 2.0, 2.0).unwrap();
-            // The just-appended point must always survive its own append.
-            assert_eq!(ods.last(&key).unwrap(), (2.0, 2.0));
-            assert!(ods.len(&key) >= 1);
-        }
-        // Zero retention keeps exactly the newest timestamp cohort.
-        let mut ods = Ods::with_retention(0.0);
-        let key = SeriesKey::new("web.host1", "qps");
-        ods.append(&key, 1.0, 1.0).unwrap();
-        ods.append(&key, 2.0, 2.0).unwrap();
-        ods.append(&key, 2.0, 3.0).unwrap();
-        assert_eq!(ods.len(&key), 2, "both points at t=2 are within window 0");
-    }
-
-    #[test]
-    fn keys_are_sorted_and_displayable() {
-        let (mut ods, _) = filled();
-        ods.append(&SeriesKey::new("ads1.h", "qps"), 0.0, 1.0)
-            .unwrap();
-        let keys: Vec<String> = ods.keys().map(|k| k.to_string()).collect();
-        assert_eq!(keys.len(), 2);
-        assert!(keys[0] < keys[1]);
-    }
-}

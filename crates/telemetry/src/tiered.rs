@@ -1,4 +1,5 @@
-//! Tiered-retention ODS: raw points cascade into downsampled tiers.
+//! The ODS-like time-series store: raw points cascade into downsampled
+//! tiers.
 //!
 //! Production ODS cannot keep raw samples forever — Facebook's store keeps
 //! recent data at full resolution and rolls older data into progressively
@@ -16,13 +17,16 @@
 //!   buckets into the next tier; the last tier simply drops what falls off
 //!   (use `f64::INFINITY` to keep forever).
 //!
-//! Boundary discipline matches [`Ods`](crate::Ods): a point (or bucket) at exactly
-//! `newest − window` survives — eviction uses a strict `<` against the
-//! horizon. Closed buckets always carry `count ≥ 1`, so no query can ever
-//! observe a NaN mean.
+//! [`TieredOds::unbounded`] keeps every point raw and is the default store;
+//! only the rollout and chaos ledgers configure tiers.
+//!
+//! A point (or bucket) at exactly `newest − window` survives — eviction
+//! uses a strict `<` against the horizon. Closed buckets always carry
+//! `count ≥ 1`, so no query can ever observe a NaN mean.
 //!
 //! Eviction is driven purely by appended timestamps, never by wall clocks,
-//! so a `TieredOds` is as deterministic as the plain [`Ods`](crate::Ods) it replaces.
+//! and non-finite timestamps are rejected, so a `TieredOds` is
+//! deterministic and every raw tier is sorted.
 
 use crate::error::TelemetryError;
 use crate::ods::{Point, SeriesKey};
@@ -63,9 +67,9 @@ struct Series {
 
 /// Time-series store with raw → downsampled retention tiers.
 ///
-/// Drop-in for the append-side [`Ods`](crate::Ods) surface (`append`, `len`,
-/// `series_count`, `keys`, `last`, `is_empty`) plus tier inspection for
-/// `skuctl ledger`.
+/// Appends are monotone per series; [`range`](TieredOds::range) and
+/// [`mean_in`](TieredOds::mean_in) query the raw tier, and tier inspection
+/// serves `skuctl ledger`.
 ///
 /// # Example
 ///
@@ -95,8 +99,8 @@ pub struct TieredOds {
 }
 
 impl TieredOds {
-    /// A raw-only store with unlimited retention — drop-in for
-    /// [`Ods::new`](crate::Ods::new) where a `TieredOds` type is expected.
+    /// A raw-only store with unlimited retention: nothing is ever evicted,
+    /// so [`range`](TieredOds::range) sees the whole series.
     pub fn unbounded() -> Self {
         TieredOds {
             series: BTreeMap::new(),
@@ -208,9 +212,14 @@ impl TieredOds {
     ///
     /// # Errors
     ///
-    /// [`TelemetryError::NonMonotonicTimestamp`] when `t` precedes the
-    /// newest raw timestamp of the series.
+    /// * [`TelemetryError::NonFiniteTimestamp`] when `t` is NaN or infinite
+    ///   (no series is created for it).
+    /// * [`TelemetryError::NonMonotonicTimestamp`] when `t` precedes the
+    ///   newest raw timestamp of the series.
     pub fn append(&mut self, key: &SeriesKey, t: f64, value: f64) -> Result<(), TelemetryError> {
+        if !t.is_finite() {
+            return Err(TelemetryError::NonFiniteTimestamp(t));
+        }
         let n_tiers = self.tiers.len();
         let series = self.series.entry(key.clone()).or_insert_with(|| Series {
             raw: Vec::new(),
@@ -225,7 +234,7 @@ impl TieredOds {
         series.raw.push((t, value));
         if self.raw_window_s.is_finite() {
             // Evict raw points strictly older than the horizon; the point at
-            // exactly `newest − window` stays (same discipline as Ods).
+            // exactly `newest − window` stays.
             let horizon = t - self.raw_window_s;
             let evict_to = series.raw.partition_point(|&(pt, _)| pt < horizon);
             for i in 0..evict_to {
@@ -296,9 +305,8 @@ impl TieredOds {
     }
 
     /// Total observations remembered for `key`: raw points plus every
-    /// observation folded into open or closed buckets across all tiers.
-    /// Matches [`Ods::len`](crate::Ods::len) exactly while data is still
-    /// raw, and keeps counting folded observations after they downsample.
+    /// observation folded into open or closed buckets across all tiers
+    /// (zero if the series is unknown).
     pub fn len(&self, key: &SeriesKey) -> usize {
         self.series.get(key).map_or(0, |s| {
             let buckets: u64 = s
@@ -312,7 +320,7 @@ impl TieredOds {
         })
     }
 
-    /// True when `key` holds no data at all.
+    /// True when the store holds no series at all.
     pub fn is_empty(&self) -> bool {
         self.series.is_empty()
     }
@@ -338,6 +346,47 @@ impl TieredOds {
             .get(key)
             .and_then(|s| s.raw.last().copied())
             .ok_or_else(|| TelemetryError::UnknownSeries(key.to_string()))
+    }
+
+    /// The raw points of `key` with timestamps in `[start, end)`.
+    ///
+    /// A zero-width window (`start == end`) is a valid query returning an
+    /// empty slice — callers polling a live series between flushes hit this
+    /// constantly and must not have to special-case it.
+    ///
+    /// # Errors
+    ///
+    /// * [`TelemetryError::UnknownSeries`] for a missing series.
+    /// * [`TelemetryError::EmptyWindow`] for an inverted (`end < start`) or
+    ///   NaN-bounded window. Infinite bounds are fine ("whole raw tier").
+    pub fn range(&self, key: &SeriesKey, start: f64, end: f64) -> Result<&[Point], TelemetryError> {
+        // NaN makes `end < start` false, so check it explicitly: a NaN bound
+        // is a caller bug and must not masquerade as an empty result.
+        if end < start || start.is_nan() || end.is_nan() {
+            return Err(TelemetryError::EmptyWindow { start, end });
+        }
+        let raw = &self
+            .series
+            .get(key)
+            .ok_or_else(|| TelemetryError::UnknownSeries(key.to_string()))?
+            .raw;
+        let lo = raw.partition_point(|&(t, _)| t < start);
+        let hi = raw.partition_point(|&(t, _)| t < end);
+        Ok(&raw[lo..hi])
+    }
+
+    /// Mean of the raw values in `[start, end)`.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`TieredOds::range`], plus [`TelemetryError::EmptySamples`]
+    /// when no points fall in the window.
+    pub fn mean_in(&self, key: &SeriesKey, start: f64, end: f64) -> Result<f64, TelemetryError> {
+        let pts = self.range(key, start, end)?;
+        if pts.is_empty() {
+            return Err(TelemetryError::EmptySamples);
+        }
+        Ok(pts.iter().map(|&(_, v)| v).sum::<f64>() / pts.len() as f64)
     }
 
     /// Full-resolution points still in the raw tier (oldest first).
@@ -390,33 +439,153 @@ mod tests {
         SeriesKey::new("web.fleet", "qps")
     }
 
-    #[test]
-    fn unbounded_matches_plain_ods_semantics() {
-        let mut tiered = TieredOds::unbounded();
-        let mut plain = crate::Ods::new();
-        let k = key();
-        for i in 0..50 {
-            tiered.append(&k, i as f64, i as f64).unwrap();
-            plain.append(&k, i as f64, i as f64).unwrap();
+    fn filled() -> (TieredOds, SeriesKey) {
+        let mut ods = TieredOds::unbounded();
+        let k = SeriesKey::new("web.host1", "mips");
+        for i in 0..100 {
+            ods.append(&k, i as f64, (i % 10) as f64).unwrap();
         }
-        assert_eq!(tiered.len(&k), plain.len(&k));
-        assert_eq!(tiered.last(&k).unwrap(), plain.last(&k).unwrap());
-        assert_eq!(tiered.series_count(), plain.series_count());
-        assert_eq!(tiered.raw_points(&k).len(), 50);
-        assert_eq!(tiered.tier_count(), 0);
+        (ods, k)
     }
 
     #[test]
-    fn rejects_time_travel_like_ods() {
-        let mut ods = TieredOds::unbounded();
-        let k = key();
-        ods.append(&k, 10.0, 1.0).unwrap();
+    fn append_and_query_roundtrip() {
+        let (ods, k) = filled();
+        assert_eq!(ods.len(&k), 100);
+        assert_eq!(ods.raw_points(&k).len(), 100);
+        assert_eq!(ods.tier_count(), 0);
+        assert_eq!(ods.last(&k).unwrap(), (99.0, 9.0));
+        let pts = ods.range(&k, 10.0, 20.0).unwrap();
+        assert_eq!(pts.len(), 10);
+        assert_eq!(pts[0], (10.0, 0.0));
+        let mean = ods.mean_in(&k, 0.0, 100.0).unwrap();
+        assert!((mean - 4.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rejects_time_travel() {
+        let (mut ods, k) = filled();
         assert!(matches!(
             ods.append(&k, 5.0, 1.0),
             Err(TelemetryError::NonMonotonicTimestamp { .. })
         ));
         // Equal timestamps are fine (hosts flushing together).
-        ods.append(&k, 10.0, 2.0).unwrap();
+        ods.append(&k, 99.0, 2.0).unwrap();
+    }
+
+    #[test]
+    fn rejects_non_finite_timestamps() {
+        let mut ods = TieredOds::unbounded();
+        let k = key();
+        // A rejected first append must not leave an empty series behind.
+        assert!(matches!(
+            ods.append(&k, f64::NAN, 1.0),
+            Err(TelemetryError::NonFiniteTimestamp(_))
+        ));
+        assert!(ods.is_empty());
+        ods.append(&k, 10.0, 1.0).unwrap();
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                ods.append(&k, t, 1.0),
+                Err(TelemetryError::NonFiniteTimestamp(_))
+            ));
+        }
+        // Neither NaN nor +inf moved the series: time travel is still
+        // refused and later appends still land.
+        assert!(ods.append(&k, 5.0, 1.0).is_err());
+        ods.append(&k, 11.0, 2.0).unwrap();
+        let times: Vec<f64> = ods.raw_points(&k).iter().map(|&(t, _)| t).collect();
+        assert_eq!(times, vec![10.0, 11.0]);
+        assert_eq!(ods.mean_in(&k, 0.0, 20.0).unwrap(), 1.5);
+    }
+
+    #[test]
+    fn window_errors() {
+        let (ods, k) = filled();
+        for (start, end) in [(6.0, 5.0), (f64::NAN, 5.0), (0.0, f64::NAN)] {
+            assert!(matches!(
+                ods.range(&k, start, end),
+                Err(TelemetryError::EmptyWindow { .. })
+            ));
+            assert!(matches!(
+                ods.mean_in(&k, start, end),
+                Err(TelemetryError::EmptyWindow { .. })
+            ));
+        }
+        let missing = SeriesKey::new("nope", "mips");
+        assert!(matches!(
+            ods.range(&missing, 0.0, 1.0),
+            Err(TelemetryError::UnknownSeries(_))
+        ));
+        assert!(matches!(
+            ods.mean_in(&missing, 0.0, 1.0),
+            Err(TelemetryError::UnknownSeries(_))
+        ));
+    }
+
+    #[test]
+    fn zero_width_and_out_of_band_windows_are_empty_not_errors() {
+        let (ods, k) = filled();
+        // Zero width: valid query, nothing in it.
+        assert_eq!(ods.range(&k, 5.0, 5.0).unwrap(), &[]);
+        // Entirely before / after the data: empty, not an error.
+        assert_eq!(ods.range(&k, -10.0, -1.0).unwrap(), &[]);
+        assert_eq!(ods.range(&k, 200.0, 300.0).unwrap(), &[]);
+        // Infinite bounds select the whole series.
+        assert_eq!(
+            ods.range(&k, f64::NEG_INFINITY, f64::INFINITY)
+                .unwrap()
+                .len(),
+            100
+        );
+        // The mean over an empty-but-valid window degrades to EmptySamples.
+        assert!(matches!(
+            ods.mean_in(&k, 5.0, 5.0),
+            Err(TelemetryError::EmptySamples)
+        ));
+    }
+
+    #[test]
+    fn raw_window_keeps_the_boundary_point() {
+        // No tiers: evicted raw points are dropped.
+        let mut ods = TieredOds::with_tiers(10.0, vec![]).unwrap();
+        let k = key();
+        ods.append(&k, 0.0, 1.0).unwrap();
+        ods.append(&k, 5.0, 2.0).unwrap();
+        // Newest = 10.0; the point at exactly 10.0 − 10.0 = 0.0 survives.
+        ods.append(&k, 10.0, 3.0).unwrap();
+        assert_eq!(ods.len(&k), 3);
+        // One hair past the window and it goes.
+        ods.append(&k, 10.0 + 1e-9, 4.0).unwrap();
+        assert_eq!(ods.range(&k, 0.0, 1e9).unwrap()[0].0, 5.0);
+        for i in 11..100 {
+            ods.append(&k, i as f64, 1.0).unwrap();
+        }
+        assert_eq!(ods.len(&k), 11, "raw window bounds the series");
+        assert_eq!(ods.range(&k, 0.0, 1e9).unwrap()[0].0, 89.0);
+    }
+
+    #[test]
+    fn zero_raw_window_keeps_the_newest_timestamp_cohort() {
+        let mut ods = TieredOds::with_tiers(0.0, vec![]).unwrap();
+        let k = key();
+        ods.append(&k, 1.0, 1.0).unwrap();
+        ods.append(&k, 2.0, 2.0).unwrap();
+        // The just-appended point always survives its own append.
+        assert_eq!(ods.last(&k).unwrap(), (2.0, 2.0));
+        ods.append(&k, 2.0, 3.0).unwrap();
+        assert_eq!(ods.len(&k), 2, "both points at t=2 are within window 0");
+    }
+
+    #[test]
+    fn keys_are_sorted_and_displayable() {
+        let (mut ods, _) = filled();
+        ods.append(&SeriesKey::new("ads1.h", "qps"), 0.0, 1.0)
+            .unwrap();
+        let keys: Vec<String> = ods.keys().map(|k| k.to_string()).collect();
+        assert_eq!(keys.len(), 2);
+        assert_eq!(ods.series_count(), 2);
+        assert!(keys[0] < keys[1]);
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! 5. A trace shared through the trace memo — by every knob setting with
 //!    the same seed and page mix, and by threads racing to publish it —
 //!    drives the same reports as a freshly generated one.
+//! 6. Over random server configs and seeds, the memo-on populating call,
+//!    the memo-on hit and a memo-off evaluation agree bit for bit.
 
 use proptest::prelude::*;
 use softsku::archsim::engine::{Engine, ServerConfig, WindowReport};
-use softsku::archsim::{CdpPartition, StreamSpec, ThpMode};
+use softsku::archsim::{CdpPartition, PrefetcherConfig, StreamSpec, ThpMode};
 use softsku::cluster::{AbEnvironment, EnvConfig};
 use softsku::workloads::{Microservice, PlatformKind};
 
@@ -170,6 +172,65 @@ proptest! {
         let probe: Vec<Vec<u64>> = probe.iter().map(signature).collect();
         let reference = single_load_signatures(|| busy_engine(service, busy, seed), 60_000, &loads);
         prop_assert_eq!(reference, probe);
+    }
+
+    /// Memo on vs. off over random configs, not only over a knob sweep:
+    /// the call that populates the memo, the hit it then serves, and a
+    /// memo-bypassing evaluation agree on every bit. Every knob the memo
+    /// keys cover is drawn within its range; the low four bits of
+    /// `prefetch` enable the four prefetchers. Seeds are drawn far above
+    /// the other tests' so each case starts from an empty memo entry.
+    #[test]
+    fn memo_on_and_off_agree_over_random_configs(
+        service_idx in 0usize..3,
+        thp_idx in 0usize..3,
+        shp_pages in 0u32..=600,
+        core_frac in 0.0f64..=1.0,
+        uncore_frac in 0.0f64..=1.0,
+        ways_frac in 0.0f64..=1.0,
+        cdp_code_frac in prop::option::of(0.0f64..=1.0),
+        prefetch in 0u8..16,
+        seed in (1u64 << 40)..(1u64 << 62),
+    ) {
+        const WINDOW: u64 = 20_000;
+        let profile = SERVICES[service_idx].profile(PlatformKind::Skylake18).unwrap();
+        let stock = profile.stock_config;
+        let within = |(lo, hi): (f64, f64), frac: f64| lo + frac * (hi - lo);
+        // At least two ways, so a CDP split leaves each side one.
+        let max_ways = stock.platform.llc.ways;
+        let ways = 2 + ((f64::from(max_ways - 2) * ways_frac) as u32).min(max_ways - 2);
+        let cdp = cdp_code_frac.map(|frac| {
+            let code_ways = 1 + ((f64::from(ways - 2) * frac) as u32).min(ways - 2);
+            CdpPartition {
+                data_ways: ways - code_ways,
+                code_ways,
+            }
+        });
+        let on = |bit: u8| prefetch & (1 << bit) != 0;
+        let config = ServerConfig {
+            core_freq_ghz: within(stock.platform.core_freq_range_ghz, core_frac),
+            uncore_freq_ghz: within(stock.platform.uncore_freq_range_ghz, uncore_frac),
+            llc_ways_enabled: ways,
+            cdp,
+            prefetchers: PrefetcherConfig {
+                l2_stream: on(0),
+                l2_adjacent: on(1),
+                dcu: on(2),
+                dcu_ip: on(3),
+            },
+            thp: [ThpMode::Madvise, ThpMode::AlwaysOn, ThpMode::NeverOn][thp_idx],
+            shp_pages,
+            ..stock
+        };
+        let run = |memo: bool| {
+            let engine = Engine::new(config.clone(), profile.stream.clone(), seed).unwrap();
+            signature(&engine.with_memo(memo).run_window(WINDOW, 0.9).unwrap())
+        };
+        let populate = run(true);
+        let hit = run(true);
+        let bypass = run(false);
+        prop_assert_eq!(&populate, &hit);
+        prop_assert_eq!(&populate, &bypass);
     }
 }
 
